@@ -149,8 +149,9 @@ func fingerprint(cfg RunConfig, seriesEvery float64) (configJSON []byte, scenari
 			BitrateBps:   cfg.Stream.BitrateBps,
 			Duration:     cfg.Stream.Duration,
 			PlayoutDepth: cfg.Stream.PlayoutDepth,
-			Warmup:       cfg.Stream.Warmup,
-			Drain:        cfg.Stream.Drain,
+			// A disabled warmup (canonically -1) hashes as 0, as it always has.
+			Warmup: max(cfg.Stream.Warmup, 0),
+			Drain:  cfg.Stream.Drain,
 		}
 	}
 	configJSON, err = json.Marshal(fp)

@@ -18,7 +18,6 @@ import (
 	"bulletprime/internal/core"
 	"bulletprime/internal/fountain"
 	"bulletprime/internal/harness"
-	"bulletprime/internal/netcode"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/rsyncx"
@@ -220,10 +219,9 @@ func BenchmarkExtensionChurnResilience(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecComparison contrasts the two coding substrates on the same
-// payload: LT (fountain) reception overhead vs network-coding rank overhead
-// and their decode costs — the §2.2 vs §5-Avalanche trade-off.
-func BenchmarkCodecComparison(b *testing.B) {
+// BenchmarkFountainOverhead measures the §2.2 LT (fountain) code's
+// reception overhead and decode cost on a 1 MB payload.
+func BenchmarkFountainOverhead(b *testing.B) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(5)).Read(data)
 	const bs = 4096
@@ -234,14 +232,6 @@ func BenchmarkCodecComparison(b *testing.B) {
 			dec.Add(id, enc.Block(id))
 		}
 		b.ReportMetric(dec.Overhead()*100, "fountain_ovh_pct")
-
-		nenc := netcode.NewEncoder(data, bs)
-		ndec := netcode.NewDecoder(nenc.K(), bs)
-		rng := rand.New(rand.NewSource(9))
-		for !ndec.Complete() {
-			ndec.Add(nenc.Emit(rng))
-		}
-		b.ReportMetric(ndec.Overhead()*100, "netcode_ovh_pct")
 	}
 }
 
@@ -592,12 +582,11 @@ func shardedBench5000(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		topo := harness.ClusteredTopologyCompact(5000, 25)(sim.NewRNG(7).Stream("topo"))
 		rig := harness.NewShardedRig(topo, 7, 8)
-		build, ok := harness.LookupShardedSystem("scalefill")
-		if !ok {
+		e, ok := harness.LookupSystem("scalefill")
+		if !ok || e.BuildSharded == nil {
 			b.Fatal("scalefill not registered")
 		}
-		sys := build(harness.ShardBuildCtx{Rig: rig,
-			Workload: harness.Workload{FileBytes: 1.5e6, BlockSize: 16 * 1024}})
+		sys := e.BuildSharded(rig, harness.Workload{FileBytes: 1.5e6, BlockSize: 16 * 1024})
 		sys.Start()
 		rig.Group.Run(12, workers, nil)
 		if !sys.Complete() {

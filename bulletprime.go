@@ -93,9 +93,9 @@ const (
 // ProtocolStream is Bullet' with delay-gradient sender selection
 // (DESIGN.md §11): senders are ranked by a receiver-side one-way-delay
 // bandwidth estimate instead of realized epoch throughput, so a congesting
-// sender is demoted before loss shows up in its rate. It resolves to the
-// harness's "BulletPrimeDelay" system and pairs naturally with
-// RunConfig.Stream, but also runs one-shot workloads.
+// sender is demoted before loss shows up in its rate. It is the same
+// session as ProtocolBulletPrime with the selection rule flipped, and pairs
+// naturally with RunConfig.Stream, but also runs one-shot workloads.
 const ProtocolStream Protocol = "stream"
 
 // ProtocolScalefill is the sharded engine's reference workload: every node
@@ -115,9 +115,9 @@ const (
 	EngineSequential = harness.EngineSequential
 	// EngineSharded partitions a run into per-cluster shards executing in
 	// parallel under a conservative lookahead clock (DESIGN.md §9). It
-	// requires a clustered network preset and a protocol registered for
-	// sharded execution (harness.RegisterShardedSystem), and does not
-	// support scenarios — sharded systems drive their own per-shard
+	// requires a clustered network preset and a protocol with a sharded
+	// builder (harness.SystemEntry.BuildSharded), and does not support
+	// scenarios or streams — sharded systems drive their own per-shard
 	// dynamics. Observers and the sampled time-series work: samples are
 	// merged from per-shard counters at horizon barriers (DESIGN.md §12),
 	// and an observed run stays bit-identical to an unobserved one.
@@ -208,7 +208,8 @@ type TraceOptions struct {
 // complete file at t=0, and every receiver is tracked as a viewer playing
 // the stream behind the live edge — Sample gains lag/rebuffer fields and
 // Result.Stream reports per-viewer aggregates. FileBytes must be left zero
-// (it is derived as BitrateBps × Duration rounded up to whole blocks);
+// (it is derived as BitrateBps × Duration rounded up to whole blocks; a
+// normalized config such as Experiment.Config carries the derived value);
 // streaming requires a stream-capable protocol (ProtocolBulletPrime,
 // ProtocolBullet, ProtocolStream) on the sequential emulated engine. See
 // DESIGN.md §11.
@@ -280,10 +281,10 @@ type RunConfig struct {
 	// Engine selects the execution engine: EngineSequential (the zero
 	// value) or EngineSharded. Sharded runs execute per-cluster shards in
 	// parallel within one run; they require a clustered network preset and
-	// a sharded-registered protocol (e.g. ProtocolScalefill), and are
-	// incompatible with Scenario and DynamicBandwidth. Observers and the
-	// sampled time-series work — samples merge per-shard counters at
-	// horizon barriers, without perturbing the run.
+	// a protocol with a sharded builder (e.g. ProtocolScalefill), and are
+	// incompatible with Scenario, DynamicBandwidth, and Stream. Observers
+	// and the sampled time-series work — samples merge per-shard counters
+	// at horizon barriers, without perturbing the run.
 	Engine EngineMode
 	// Shards is the shard count for EngineSharded; 0 picks the default.
 	// Results depend on the shard count — it is part of the experiment's
@@ -308,8 +309,8 @@ type RunConfig struct {
 
 	// Stream, when non-nil, makes the run a live stream (see StreamOptions):
 	// paced source emission, per-viewer lag/rebuffer tracking, and the
-	// Result.Stream report. FileBytes must then be zero — it is derived
-	// from the stream geometry.
+	// Result.Stream report. FileBytes must then be zero (or already the
+	// derived value) — it is derived from the stream geometry.
 	Stream *StreamOptions
 
 	// Trace, when non-nil, records structured protocol-decision spans into
@@ -324,13 +325,19 @@ type RunConfig struct {
 	Encoded           bool            // source fountain-coding mode
 }
 
-// normalized is the single place RunConfig defaults and seed-independent
-// validation live: every entry point (New, Run, Sweep cells) goes through
-// it, so a misconfiguration fails the same way everywhere instead of being
-// silently ignored by some paths.
+// normalized is the single place RunConfig defaults and field validation
+// live: every entry point (New, Run, Sweep cells) goes through it, so a
+// misconfiguration fails the same way everywhere instead of being silently
+// ignored by some paths. It is idempotent — a normalized config (such as
+// Experiment.Config) normalizes to itself. Combinations of engine, backend,
+// features, and protocol are vetted by harness.SweepSpec.Check, which New
+// runs on the lowered spec.
 func (cfg RunConfig) normalized() (RunConfig, error) {
 	if cfg.Nodes < 8 {
 		return cfg, fmt.Errorf("bulletprime: need at least 8 nodes, got %d", cfg.Nodes)
+	}
+	if cfg.BlockSize <= 0 {
+		cfg.BlockSize = 16 * 1024
 	}
 	if cfg.Stream != nil {
 		// Streaming validation and defaults live before the FileBytes check:
@@ -342,42 +349,28 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 		if s.Duration <= 0 {
 			return cfg, fmt.Errorf("bulletprime: Stream.Duration must be positive, got %v", s.Duration)
 		}
-		if cfg.FileBytes != 0 {
-			return cfg, fmt.Errorf("bulletprime: a streaming run derives FileBytes from BitrateBps × Duration; leave it zero")
-		}
-		if cfg.Engine == EngineSharded {
-			return cfg, fmt.Errorf("bulletprime: streaming runs require the sequential engine (the lag tracker samples one clock)")
-		}
-		if cfg.Network == NetworkTestbedUDP || cfg.Testbed != nil {
-			return cfg, fmt.Errorf("bulletprime: streaming runs do not support the testbed backend (lag tracking needs the deterministic emulated clock)")
-		}
 		if cfg.Encoded {
 			return cfg, fmt.Errorf("bulletprime: Stream and Encoded both redefine the source emission; pick one")
-		}
-		if s.PlayoutDepth <= 0 {
-			s.PlayoutDepth = harness.DefaultPlayoutDepth
-		}
-		switch {
-		case s.Warmup == 0:
-			s.Warmup = s.Duration / 4
-			if s.Warmup > harness.DefaultWarmupCap {
-				s.Warmup = harness.DefaultWarmupCap
-			}
-		case s.Warmup < 0:
-			s.Warmup = 0
-		}
-		if s.Drain <= 0 {
-			s.Drain = harness.DefaultDrain
-		}
-		cfg.Stream = &s
-		if cfg.BlockSize <= 0 {
-			cfg.BlockSize = 16 * 1024
 		}
 		blocks := math.Ceil(s.BitrateBps * s.Duration / cfg.BlockSize)
 		if blocks < 1 {
 			blocks = 1
 		}
-		cfg.FileBytes = blocks * cfg.BlockSize
+		// A normalized config carries the derived size; anything else is a
+		// conflicting explicit size.
+		if derived := blocks * cfg.BlockSize; cfg.FileBytes == 0 {
+			cfg.FileBytes = derived
+		} else if cfg.FileBytes != derived {
+			return cfg, fmt.Errorf("bulletprime: a streaming run derives FileBytes from BitrateBps × Duration; leave it zero")
+		}
+		sp := streamSpec(&s).Normalized()
+		s.PlayoutDepth, s.Drain = sp.PlayoutDepth, sp.Drain
+		// Canonical warmup: positive, or -1 for disabled.
+		s.Warmup = sp.Warmup
+		if s.Warmup == 0 {
+			s.Warmup = -1
+		}
+		cfg.Stream = &s
 	}
 	if cfg.FileBytes <= 0 {
 		return cfg, fmt.Errorf("bulletprime: FileBytes must be positive")
@@ -391,9 +384,6 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	if cfg.Network == "" {
 		cfg.Network = NetworkModelNet
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 16 * 1024
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 3600
 	}
@@ -406,18 +396,7 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	if cfg.Trace != nil && cfg.Trace.Capacity < 0 {
 		return cfg, fmt.Errorf("bulletprime: Trace.Capacity must be >= 0, got %d", cfg.Trace.Capacity)
 	}
-	// The testbed combination rules live here, next to the sharded ones, so
-	// every entry point rejects a conflicted config with the same message.
 	if cfg.Network == NetworkTestbedUDP {
-		if cfg.Engine == EngineSharded {
-			return cfg, fmt.Errorf("bulletprime: testbed runs do not support the sharded engine (one wall clock cannot drive parallel shard clocks)")
-		}
-		if cfg.Scenario != nil {
-			return cfg, fmt.Errorf("bulletprime: testbed runs do not support scenarios (scenario programs drive the emulated network)")
-		}
-		if cfg.DynamicBandwidth {
-			return cfg, fmt.Errorf("bulletprime: testbed runs do not support DynamicBandwidth (there is no emulated bandwidth to change)")
-		}
 		if cfg.Testbed == nil {
 			cfg.Testbed = &TestbedOptions{}
 		}
@@ -430,30 +409,8 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	} else if cfg.Testbed != nil {
 		return cfg, fmt.Errorf("bulletprime: Testbed options require Network: NetworkTestbedUDP, got %q", cfg.Network)
 	}
-	if cfg.Engine == EngineSharded {
-		if cfg.Scenario != nil {
-			return cfg, fmt.Errorf("bulletprime: sharded runs do not support scenarios; sharded systems drive their own per-shard dynamics")
-		}
-		if cfg.DynamicBandwidth {
-			return cfg, fmt.Errorf("bulletprime: sharded runs do not support DynamicBandwidth")
-		}
-		if _, ok := harness.LookupShardedSystem(string(cfg.Protocol)); !ok {
-			return cfg, fmt.Errorf("bulletprime: protocol %q is not registered for sharded execution (registered: %v)",
-				cfg.Protocol, harness.ShardedSystemNames())
-		}
-	} else {
-		if cfg.Shards != 0 || cfg.ShardWorkers != 0 {
-			return cfg, fmt.Errorf("bulletprime: Shards/ShardWorkers are sharded-engine knobs; set Engine: EngineSharded")
-		}
-		sysName, ok := lookupProtocol(cfg.Protocol)
-		if !ok {
-			return cfg, fmt.Errorf("bulletprime: unknown protocol %q (registered: %v)",
-				cfg.Protocol, Protocols())
-		}
-		if cfg.Stream != nil && !harness.StreamCapable(sysName) {
-			return cfg, fmt.Errorf("bulletprime: protocol %q does not support live streaming (its source cannot pace emission)",
-				cfg.Protocol)
-		}
+	if cfg.Engine != EngineSharded && (cfg.Shards != 0 || cfg.ShardWorkers != 0) {
+		return cfg, fmt.Errorf("bulletprime: Shards/ShardWorkers are sharded-engine knobs; set Engine: EngineSharded")
 	}
 	if _, ok := lookupNetwork(cfg.Network); !ok {
 		return cfg, fmt.Errorf("bulletprime: unknown network preset %q (registered: %v)",
@@ -462,44 +419,41 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	return cfg, nil
 }
 
-// buildSpec lowers a normalized RunConfig into a harness spec; every
-// session and sweep cell shares it, so a sweep's rigs are bit-identical to
-// single runs.
+// buildSpec lowers a normalized RunConfig into a harness spec and vets it
+// with harness.SweepSpec.Check before building the topology generator (a
+// network builder may panic on a node count its preset cannot shape). On a
+// Check failure the returned spec lacks only TopoFn. Every session and
+// sweep cell shares it, so a sweep's rigs are bit-identical to single runs.
 func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
-	var spec harness.SweepSpec
-	systemName, _ := lookupProtocol(cfg.Protocol)
-	if cfg.Engine == EngineSharded {
-		// Sharded protocols resolve through the harness's sharded registry
-		// under their façade name; normalized() already vetted membership.
-		systemName = string(cfg.Protocol)
+	spec := harness.SweepSpec{
+		Label:    fmt.Sprintf("%s/%s/seed%d", cfg.Protocol, cfg.Network, cfg.Seed),
+		Seed:     cfg.Seed,
+		System:   string(cfg.Protocol),
+		Workload: harness.Workload{FileBytes: cfg.FileBytes, BlockSize: cfg.BlockSize},
+		CoreMut: func(c *core.Config) {
+			c.Strategy = cfg.Strategy
+			c.StaticPeers = cfg.StaticPeers
+			c.StaticOutstanding = cfg.StaticOutstanding
+			c.Encoded = cfg.Encoded
+		},
+		Deadline: sim.Time(cfg.Deadline),
+		Engine:   cfg.Engine,
+		Shards:   cfg.Shards,
+		Workers:  cfg.ShardWorkers,
+		Stream:   streamSpec(cfg.Stream),
 	}
-	netBuild, _ := lookupNetwork(cfg.Network)
-	topoFn := netBuild(cfg.Nodes)
-
-	var dyn func(*harness.Rig)
 	if cfg.DynamicBandwidth {
-		dyn = harness.SyntheticBandwidthChanges(20)
+		spec.Dynamics = harness.SyntheticBandwidthChanges(20)
 	}
-
-	var prog *scenario.Program
 	if cfg.Scenario != nil {
-		var err error
-		prog, err = cfg.Scenario.Compile(cfg.Nodes)
+		prog, err := cfg.Scenario.Compile(cfg.Nodes)
 		if err != nil {
 			return spec, fmt.Errorf("bulletprime: %w", err)
 		}
+		spec.Scenario = prog
 	}
-
-	coreMut := func(c *core.Config) {
-		c.Strategy = cfg.Strategy
-		c.StaticPeers = cfg.StaticPeers
-		c.StaticOutstanding = cfg.StaticOutstanding
-		c.Encoded = cfg.Encoded
-	}
-
-	var tb *harness.TestbedSpec
 	if cfg.Network == NetworkTestbedUDP {
-		tb = &harness.TestbedSpec{
+		spec.Testbed = &harness.TestbedSpec{
 			ListenHost: cfg.Testbed.ListenHost,
 			Peers:      cfg.Testbed.Peers,
 			Rate:       cfg.Testbed.Rate,
@@ -509,42 +463,36 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 			DropSeed:   cfg.Testbed.DropSeed,
 		}
 	}
-
-	var tracer *obs.Tracer
-	if cfg.Trace != nil {
-		tracer = obs.NewTracer(cfg.Trace.Capacity)
+	if err := spec.Check(); err != nil {
+		return spec, err
 	}
-
-	return harness.SweepSpec{
-		Label:    fmt.Sprintf("%s/%s/seed%d", cfg.Protocol, cfg.Network, cfg.Seed),
-		Seed:     cfg.Seed,
-		TopoFn:   topoFn,
-		Dynamics: dyn,
-		System:   systemName,
-		Workload: harness.Workload{FileBytes: cfg.FileBytes, BlockSize: cfg.BlockSize},
-		CoreMut:  coreMut,
-		Deadline: sim.Time(cfg.Deadline),
-		Scenario: prog,
-		Engine:   cfg.Engine,
-		Shards:   cfg.Shards,
-		Workers:  cfg.ShardWorkers,
-		Testbed:  tb,
-		Stream:   streamSpec(cfg.Stream),
-		Tracer:   tracer,
-	}, nil
+	netBuild, _ := lookupNetwork(cfg.Network)
+	spec.TopoFn = netBuild(cfg.Nodes)
+	if cfg.Trace != nil {
+		spec.Tracer = obs.NewTracer(cfg.Trace.Capacity)
+	}
+	return spec, nil
 }
 
-// streamSpec lowers the façade's (already-normalized) stream options to the
-// harness spec.
+// streamSpec lowers the façade's stream options to the harness spec. The
+// two spell the warmup differently: the façade's 0 picks the default and a
+// negative value disables it, the harness's negative value picks the
+// default and 0 disables it.
 func streamSpec(s *StreamOptions) *harness.StreamSpec {
 	if s == nil {
 		return nil
+	}
+	warmup := -1.0
+	if s.Warmup < 0 {
+		warmup = 0
+	} else if s.Warmup > 0 {
+		warmup = s.Warmup
 	}
 	return &harness.StreamSpec{
 		BitrateBps:   s.BitrateBps,
 		Duration:     s.Duration,
 		PlayoutDepth: s.PlayoutDepth,
-		Warmup:       s.Warmup,
+		Warmup:       warmup,
 		Drain:        s.Drain,
 	}
 }

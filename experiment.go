@@ -235,18 +235,11 @@ func (e *Experiment) run(ctx context.Context) {
 	if len(e.observers) > 0 || (!e.noSample && e.cfg.SampleEvery > 0) {
 		rec = newRecorder(e)
 		hooks.TickEvery = rec.every
-		if e.cfg.Engine == EngineSharded {
-			// Sharded runs sample at horizon barriers through the sharded
-			// hook pair; the single-engine hooks stay nil.
-			hooks.OnShardStart = rec.onShardStart
-			hooks.OnShardTick = rec.shardTick
-		} else {
-			hooks.OnStart = rec.onStart
-			hooks.OnTick = rec.tick
-			hooks.Annotate = rec.annotate
-			if rec.perNode {
-				hooks.OnBlock = rec.onBlock
-			}
+		hooks.OnStart = rec.onStart
+		hooks.OnTick = rec.tick
+		hooks.Annotate = rec.annotate
+		if rec.perNode {
+			hooks.OnBlock = rec.onBlock
 		}
 	}
 	// The cancellation poll is always installed: Start wraps every caller
@@ -274,15 +267,11 @@ func (e *Experiment) run(ctx context.Context) {
 		close(e.done)
 		return
 	}
-	if rec != nil && (rec.rig != nil || rec.srig != nil) {
+	if rec != nil && rec.rigs != nil {
 		// Flush a closing sample so the series covers the tail (or, for a
 		// cancelled run, the stop instant).
 		if n := len(rec.series); n == 0 || rec.series[n-1].Time < res.Elapsed {
-			if rec.srig != nil {
-				rec.shardTick(rec.srig, rec.ssys)
-			} else {
-				rec.tick(rec.rig, rec.sys)
-			}
+			rec.tick(rec.rigs, rec.sys)
 		}
 		res.Series = rec.series
 		res.Annotations = rec.annotations
@@ -311,9 +300,10 @@ func (e *Experiment) run(ctx context.Context) {
 	close(e.done)
 }
 
-// recorder samples one run's metrics on the simulation's tick hook. All of
-// its methods execute on the run's event loop; observers receive copies
-// over channels.
+// recorder samples one run's metrics on the simulation's tick hook, over
+// the run's rigs — one, or one per shard. All of its methods execute on the
+// run's event loop (on a sharded run, at horizon barriers with no shard
+// worker active); observers receive copies over channels.
 type recorder struct {
 	every     float64
 	blockSize float64
@@ -324,22 +314,17 @@ type recorder struct {
 	// is negative and only subscribed streams want samples.
 	recordSeries bool
 
-	rig    *harness.Rig
-	sys    harness.System
-	meter  *trace.RateMeter
+	rigs []*harness.Rig
+	sys  harness.System
+	// meters holds one data-rate meter per rig, installed before the
+	// system starts; tick sums them in rig order, so float sums are
+	// deterministic.
+	meters []*trace.RateMeter
 	blocks []int
 	// gauger is the transport's live-state probe (testbed runs only); it
 	// is called from tick events on the run-loop goroutine, the only place
 	// transport state mutates.
 	gauger proto.Gauger
-
-	// Sharded-run state: the sharded rig/system pair plus one data-rate
-	// meter per shard, installed before the group starts. shardTick merges
-	// them at horizon barriers in ascending slot order, so float sums are
-	// deterministic.
-	srig        *harness.ShardedRig
-	ssys        harness.ShardSystem
-	shardMeters []*trace.RateMeter
 
 	pending     []Annotation
 	annotations []Annotation
@@ -364,9 +349,6 @@ func newRecorder(e *Experiment) *recorder {
 		observers:    e.observers,
 		perNode:      perNode,
 		recordSeries: e.cfg.SampleEvery > 0,
-		// The goodput meter resolves rates over windows up to ~4 sample
-		// periods at quarter-period granularity.
-		meter: trace.NewRateMeter(every/4, 16),
 	}
 	if perNode {
 		rec.blocks = make([]int, e.cfg.Nodes)
@@ -374,23 +356,22 @@ func newRecorder(e *Experiment) *recorder {
 	return rec
 }
 
-// onStart installs the goodput meter on the rig's runtime before the
-// protocol starts, and probes the transport (if any) for live gauges.
-func (rec *recorder) onStart(rig *harness.Rig, sys harness.System) {
-	rec.rig = rig
+// onStart hangs a goodput meter on every rig's runtime before the protocol
+// starts, and probes the transport (if any) for live gauges. A meter
+// resolves rates over windows up to ~4 sample periods at quarter-period
+// granularity, and only receives writes from its own rig's events.
+func (rec *recorder) onStart(rigs []*harness.Rig, sys harness.System) {
+	rec.rigs = rigs
 	rec.sys = sys
-	rig.RT.DataMeter = rec.meter
-	if g, ok := rig.RT.Transport.(proto.Gauger); ok {
+	rec.meters = make([]*trace.RateMeter, len(rigs))
+	for k, rig := range rigs {
+		rec.meters[k] = trace.NewRateMeter(rec.every/4, 16)
+		rig.RT.DataMeter = rec.meters[k]
+	}
+	// Only testbed runs have a gauging transport, and they have one rig.
+	if g, ok := rigs[0].RT.Transport.(proto.Gauger); ok {
 		rec.gauger = g
 	}
-}
-
-// onShardStart is onStart's sharded counterpart: it stashes the rig/system
-// pair and hangs one data-rate meter on every shard's runtime.
-func (rec *recorder) onShardStart(rig *harness.ShardedRig, sys harness.ShardSystem) {
-	rec.srig = rig
-	rec.ssys = sys
-	rec.shardMeters = rig.InstallMeters(rec.every/4, 16)
 }
 
 // onBlock tracks per-node block counts (novel arrivals only).
@@ -401,11 +382,12 @@ func (rec *recorder) onBlock(id netem.NodeID, blockID, count int) {
 }
 
 // annotate timestamps a scenario-event marker and queues it for the next
-// sample.
+// sample. Annotations come from scenario programs and flash-crowd waves,
+// which run on one rig.
 func (rec *recorder) annotate(text string) {
 	var at float64
-	if rec.rig != nil {
-		at = float64(rec.rig.Eng.Now())
+	if rec.rigs != nil {
+		at = float64(rec.rigs[0].Eng.Now())
 	}
 	a := Annotation{At: at, Text: text}
 	rec.pending = append(rec.pending, a)
@@ -421,49 +403,59 @@ func (rec *recorder) takePending() []Annotation {
 	return p
 }
 
-// nodeProgress snapshots every member's download state.
+// nodeProgress snapshots every member's download state, rig by rig.
 func (rec *recorder) nodeProgress() []NodeProgress {
-	rig := rec.rig
-	now := rig.Eng.Now()
-	out := make([]NodeProgress, 0, len(rig.Members))
-	for _, id := range rig.Members {
-		np := NodeProgress{Node: int(id)}
-		if rec.blocks != nil && int(id) < len(rec.blocks) {
-			np.Blocks = rec.blocks[id]
+	var out []NodeProgress
+	for _, rig := range rec.rigs {
+		now := rig.Eng.Now()
+		for _, id := range rig.Members {
+			np := NodeProgress{Node: int(id)}
+			if rec.blocks != nil && int(id) < len(rec.blocks) {
+				np.Blocks = rec.blocks[id]
+			}
+			if n := rig.RT.Node(id); n != nil {
+				np.Bps = n.InMeter.Rate(now, rec.every)
+			}
+			_, np.Done = rig.Done[id]
+			out = append(out, np)
 		}
-		if n := rig.RT.Node(id); n != nil {
-			np.Bps = n.InMeter.Rate(now, rec.every)
-		}
-		_, np.Done = rig.Done[id]
-		out = append(out, np)
 	}
 	return out
 }
 
-// tick is the sampling clock: it assembles one Sample, appends it to the
-// series, and fans it out to every observer whose cadence is due.
-func (rec *recorder) tick(rig *harness.Rig, sys harness.System) {
-	now := float64(rig.Eng.Now())
-	dup := harness.SystemDuplicates(sys)
-	dupBytes := float64(dup) * rec.blockSize
-	useful := rig.RT.DataBytes - dupBytes
-	if useful < 0 {
-		useful = 0
+// tick is the sampling clock: it assembles one Sample, summing counters
+// over the rigs in rig order (a sum over one rig is that rig's own value),
+// appends it to the series, and fans it out to every observer whose cadence
+// is due. A sharded run ticks at horizon barriers, where every rig's clock
+// sits at the same instant, so the merged sample is a pure read of state
+// the unobserved run also passes through.
+func (rec *recorder) tick(rigs []*harness.Rig, sys harness.System) {
+	var at sim.Time
+	for _, rig := range rigs {
+		// All clocks agree at a barrier; max() also covers the final flush
+		// after a cancelled sharded run, where they may not.
+		if t := rig.Eng.Now(); t > at {
+			at = t
+		}
 	}
+	now := float64(at)
 	s := Sample{
-		Time:            now,
-		Completed:       len(rig.Done),
-		Receivers:       rec.receivers,
-		GoodputBps:      rec.meter.Rate(rig.Eng.Now(), rec.every),
-		ControlBytes:    rig.RT.ControlBytes,
-		DataBytes:       rig.RT.DataBytes,
-		DuplicateBlocks: dup,
-		DuplicateBytes:  dupBytes,
-		UsefulBytes:     useful,
-		Annotations:     rec.takePending(),
+		Time:        now,
+		Receivers:   rec.receivers,
+		Annotations: rec.takePending(),
 	}
-	if rig.Stream != nil {
-		ls := rig.Stream.Sample(now)
+	for k, rig := range rigs {
+		s.Completed += len(rig.Done)
+		s.GoodputBps += rec.meters[k].Rate(at, rec.every)
+		s.ControlBytes += rig.RT.ControlBytes
+		s.DataBytes += rig.RT.DataBytes
+	}
+	s.DuplicateBlocks = harness.SystemDuplicates(sys)
+	s.DuplicateBytes = float64(s.DuplicateBlocks) * rec.blockSize
+	s.UsefulBytes = max(s.DataBytes-s.DuplicateBytes, 0)
+	// Only sequential runs stream, and they have one rig.
+	if st := rigs[0].Stream; st != nil {
+		ls := st.Sample(now)
 		s.StreamLagP50 = ls.LagP50
 		s.StreamLagMax = ls.LagMax
 		s.Rebuffering = ls.Rebuffering
@@ -481,44 +473,6 @@ func (rec *recorder) tick(rig *harness.Rig, sys harness.System) {
 	rec.emit(s)
 }
 
-// shardTick is the sampling clock of a sharded run. It fires at horizon
-// barriers — every shard's clock sits at exactly the same instant, with no
-// worker goroutine active — and merges per-shard counters in ascending
-// slot order, so every float sum is performed in a deterministic order and
-// an observed run's samples are a pure read of state the unobserved run
-// also passes through.
-func (rec *recorder) shardTick(rig *harness.ShardedRig, sys harness.ShardSystem) {
-	var at sim.Time
-	for _, slot := range rig.Slots {
-		// All slot clocks agree at a barrier; max() also covers the final
-		// flush after a cancelled run, where they may not.
-		if t := slot.Eng.Now(); t > at {
-			at = t
-		}
-	}
-	s := Sample{
-		Time:      float64(at),
-		Receivers: rec.receivers,
-	}
-	for _, slot := range rig.Slots {
-		s.Completed += len(slot.Done)
-		s.ControlBytes += slot.RT.ControlBytes
-		s.DataBytes += slot.RT.DataBytes
-	}
-	for _, m := range rec.shardMeters {
-		s.GoodputBps += m.Rate(at, rec.every)
-	}
-	if d, ok := sys.(interface{ DuplicateBlocks() int }); ok {
-		s.DuplicateBlocks = d.DuplicateBlocks()
-	}
-	s.DuplicateBytes = float64(s.DuplicateBlocks) * rec.blockSize
-	s.UsefulBytes = s.DataBytes - s.DuplicateBytes
-	if s.UsefulBytes < 0 {
-		s.UsefulBytes = 0
-	}
-	rec.emit(s)
-}
-
 // emit appends one assembled sample to the series and fans it out to every
 // observer whose cadence is due.
 func (rec *recorder) emit(s Sample) {
@@ -532,7 +486,7 @@ func (rec *recorder) emit(s Sample) {
 		}
 		o.lastEmit = s.Time
 		out := s
-		if o.perNode && rec.rig != nil {
+		if o.perNode && rec.rigs != nil {
 			if nodes == nil {
 				nodes = rec.nodeProgress()
 			}
@@ -660,11 +614,8 @@ func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 	if err != nil {
 		return nil, err
 	}
-	for _, rc := range cfgs {
-		if rc.Network == NetworkTestbedUDP {
-			return nil, fmt.Errorf("bulletprime: sweeps do not support the testbed network (parallel wall-clock cells contend on real time); run testbed experiments one at a time")
-		}
-	}
+	// Every cell passes New first, so a conflicted config fails a sweep with
+	// the same error as a single run.
 	exps := make([]*Experiment, len(cfgs))
 	for i, rc := range cfgs {
 		exps[i], err = New(rc)
@@ -672,6 +623,11 @@ func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 			return nil, err
 		}
 		exps[i].noSample = noSample
+	}
+	for _, rc := range cfgs {
+		if rc.Network == NetworkTestbedUDP {
+			return nil, fmt.Errorf("bulletprime: sweeps do not support the testbed network (parallel wall-clock cells contend on real time); run testbed experiments one at a time")
+		}
 	}
 	parallel := cfgs[0].Parallel // expandSweep always yields at least one cell
 	if parallel <= 0 {

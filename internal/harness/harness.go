@@ -8,6 +8,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
@@ -17,20 +18,29 @@ import (
 	"bulletprime/internal/trace"
 )
 
-// System is the common face of one protocol session.
+// System is the common face of one protocol session, on every engine. On
+// the sharded engine Start seeds initial events on every shard's engine
+// before the group runs, and Complete and DoneAt are read between group
+// steps, when no shard worker is active.
 type System interface {
 	Start()
 	Complete() bool
 	DoneAt() sim.Time
 }
 
-// Rig is one experiment instance: engine, emulated network, runtime.
+// Rig is one engine's share of an experiment: engine, emulated network,
+// runtime, and the nodes it owns. A sequential or testbed run has one rig
+// over every node; a sharded run has one rig per shard (ShardedRig.Slots),
+// each owning its shard's nodes.
 type Rig struct {
 	Eng     *sim.Engine
 	Net     *netem.Network
 	RT      *proto.Runtime
-	Members []netem.NodeID
+	Members []netem.NodeID // owned nodes, ascending
 	Master  *sim.RNG
+	// Shard is the rig's place in its shard group; nil outside sharded
+	// runs.
+	Shard *sim.Shard
 
 	// Done records per-node completion times as sessions call back.
 	Done map[netem.NodeID]sim.Time
@@ -56,18 +66,23 @@ type Rig struct {
 // subsystem stream; protocol variants compared "under identical conditions"
 // share the topology draw by sharing the seed.
 func NewRig(topo *netem.Topology, seed int64) *Rig {
-	eng := sim.NewEngine()
-	master := sim.NewRNG(seed)
-	net := netem.New(eng, topo, master.Stream("net"))
-	rt := proto.NewRuntime(eng, net)
 	members := make([]netem.NodeID, topo.N)
 	for i := range members {
 		members[i] = netem.NodeID(i)
 	}
+	return newRig(sim.NewEngine(), topo, sim.NewRNG(seed), "net", members)
+}
+
+// newRig is the one rig constructor: the network draws from the master's
+// netStream, so a sequential rig ("net") and each shard ("net#k") keep
+// their historical RNG streams.
+func newRig(eng *sim.Engine, topo *netem.Topology, master *sim.RNG, netStream string,
+	members []netem.NodeID) *Rig {
+	net := netem.New(eng, topo, master.Stream(netStream))
 	return &Rig{
 		Eng:     eng,
 		Net:     net,
-		RT:      rt,
+		RT:      proto.NewRuntime(eng, net),
 		Members: members,
 		Master:  master,
 		Done:    make(map[netem.NodeID]sim.Time),
@@ -79,11 +94,17 @@ func (r *Rig) record() func(netem.NodeID) {
 	return func(id netem.NodeID) { r.Done[id] = r.Eng.Now() }
 }
 
-// CDF converts recorded completion times to a CDF.
+// CDF converts recorded completion times to a CDF, adding samples in node
+// order so even the internal sample layout is reproducible.
 func (r *Rig) CDF() *trace.CDF {
+	ids := make([]netem.NodeID, 0, len(r.Done))
+	for id := range r.Done {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	c := &trace.CDF{}
-	for _, t := range r.Done {
-		c.Add(float64(t))
+	for _, id := range ids {
+		c.Add(float64(r.Done[id]))
 	}
 	return c
 }
@@ -129,33 +150,43 @@ func (k ProtoKind) String() string {
 	return "unknown"
 }
 
+// system returns the kind's registry name, which is also its façade
+// Protocol name.
+func (k ProtoKind) system() string {
+	switch k {
+	case KindBulletPrime:
+		return "bulletprime"
+	case KindBullet:
+		return "bullet"
+	case KindBitTorrent:
+		return "bittorrent"
+	case KindSplitStream:
+		return "splitstream"
+	}
+	return "unknown"
+}
+
 // BuildSystem instantiates a protocol session over all rig members. The
 // coreMut hook lets figure generators tweak Bullet' config (strategies,
 // static peers, outstanding limits); it is ignored for the other systems.
 func (r *Rig) BuildSystem(kind ProtoKind, w Workload, coreMut func(*core.Config)) System {
-	return r.BuildSystemFor(kind, w, coreMut, r.Members, "")
-}
-
-// BuildSystemFor instantiates a protocol session over one cohort of members;
-// the first member is the session source. streamSuffix distinguishes the RNG
-// streams of concurrent sessions (flash-crowd waves) on one rig; the empty
-// suffix is the classic single-session stream.
-func (r *Rig) BuildSystemFor(kind ProtoKind, w Workload, coreMut func(*core.Config),
-	members []netem.NodeID, streamSuffix string) System {
-	return r.BuildNamedSystem(kind.String(), w, coreMut, members, streamSuffix)
+	return r.BuildNamedSystem(kind.system(), w, coreMut, r.Members, "")
 }
 
 // BuildNamedSystem instantiates the registered system with the given name
-// over one cohort; see RegisterSystem for the open registry the four paper
-// protocols and third-party systems share.
+// over one cohort; the first member is the session source. streamSuffix
+// distinguishes the RNG streams of concurrent sessions (flash-crowd waves)
+// on one rig; the empty suffix is the classic single-session stream. See
+// RegisterSystem for the open registry the paper protocols and third-party
+// systems share.
 func (r *Rig) BuildNamedSystem(name string, w Workload, coreMut func(*core.Config),
 	members []netem.NodeID, streamSuffix string) System {
 
-	b, ok := LookupSystem(name)
-	if !ok {
-		panic(fmt.Sprintf("harness: unknown system %q (registered: %v)", name, SystemNames()))
+	e, ok := LookupSystem(name)
+	if !ok || e.Build == nil {
+		panic(fmt.Sprintf("harness: no single-rig system %q (registered: %v)", name, SystemNames()))
 	}
-	return b(BuildCtx{
+	return e.Build(BuildCtx{
 		Rig:          r,
 		Workload:     w,
 		CoreMut:      coreMut,
@@ -212,73 +243,148 @@ func RunOne(label string, seed int64, topoFn func(*sim.RNG) *netem.Topology,
 	})
 }
 
-// Hooks are optional observation and steering points for one run. All
-// callbacks execute on the run's event loop; they must only read rig and
-// system state (writing would break the bit-identity of observed and
-// unobserved runs).
+// Hooks are optional observation and steering points for one run, honoured
+// by every backend. Callbacks must only read rig and system state (writing
+// would break the bit-identity of observed and unobserved runs). OnStart and
+// OnTick receive the run's rigs: one for sequential and testbed runs, one
+// per shard, in shard order, for sharded runs.
 type Hooks struct {
-	// OnStart fires once after the rig and system are built, immediately
+	// OnStart fires once after the rigs and system are built, immediately
 	// before System.Start.
-	OnStart func(*Rig, System)
+	OnStart func(rigs []*Rig, sys System)
 	// OnTick fires every TickEvery virtual seconds (first tick at
 	// t=TickEvery) while the run is live — the observer's sampling clock.
+	// A sharded run ticks at horizon barriers, where every shard clock sits
+	// at the same instant and no shard worker is active.
 	TickEvery float64
-	OnTick    func(*Rig, System)
+	OnTick    func(rigs []*Rig, sys System)
 	// Stop is polled between event batches; returning true ends the run
 	// early. RunResult.Stopped reports that it fired.
 	Stop func() bool
-	// OnBlock and Annotate are installed on the rig before system
-	// construction; see the Rig fields of the same names.
+	// OnBlock and Annotate are installed on every rig before system
+	// construction; see the Rig fields of the same names. On a sharded run
+	// they are called from the shard's worker goroutine.
 	OnBlock  func(node netem.NodeID, blockID, count int)
 	Annotate func(text string)
-	// OnShardStart and OnShardTick are the sharded-engine analogues of
-	// OnStart and OnTick: OnShardStart fires once after the sharded rig and
-	// per-shard systems are built, immediately before the systems start;
-	// OnShardTick fires every TickEvery virtual seconds at a horizon
-	// barrier, when every shard's clock has reached exactly the same
-	// instant — the only moments a cross-shard snapshot is coherent.
-	// Both run on the caller's goroutine while no shard worker is active,
-	// and must only read state. Ignored by the other engines, as OnStart,
-	// OnTick, OnBlock, and Annotate are ignored by the sharded engine.
-	OnShardStart func(*ShardedRig, ShardSystem)
-	OnShardTick  func(*ShardedRig, ShardSystem)
 	// OnResult fires once with the finished RunResult, just before RunSpec
 	// returns — the capture point archival layers use to persist sweep
 	// cells as they finish. Under Sweep the callback runs on the worker
 	// goroutine that owns the cell, so a hook shared across specs must be
-	// goroutine-safe.
+	// goroutine-safe. Runs that fail the spec check never reach it.
 	OnResult func(*RunResult)
 }
 
-// RunSpec executes one experiment spec: rig construction, the optional
-// compiled scenario (timeline events plus flash-crowd wave sessions), the
-// optional dynamics hook, then the run itself. Every sweep cell and RunOne
-// go through here, so a sweep's rigs are bit-identical to single runs.
-// Hooks only read state, so an observed run is bit-identical to an
-// unobserved one with the same spec.
+// install hangs the block and annotation hooks on a rig and returns the
+// stop poll; a nil receiver installs nothing.
+func (h *Hooks) install(rig *Rig) (stop func() bool) {
+	if h == nil {
+		return nil
+	}
+	rig.OnBlock = h.OnBlock
+	rig.Annotate = h.Annotate
+	return h.Stop
+}
+
+// start fires OnStart and returns whether the run should sample OnTick.
+func (h *Hooks) start(rigs []*Rig, sys System) (ticks bool) {
+	if h == nil {
+		return false
+	}
+	if h.OnStart != nil {
+		h.OnStart(rigs, sys)
+	}
+	return h.TickEvery > 0 && h.OnTick != nil
+}
+
+// backend is one run driver and the spec features it supports.
+type backend struct {
+	name                       string
+	scenario, stream, dynamics bool
+}
+
+var (
+	backendSequential = backend{name: "sequential", scenario: true, stream: true, dynamics: true}
+	backendSharded    = backend{name: "sharded"}
+	backendTestbed    = backend{name: "testbed"}
+)
+
+func (s *SweepSpec) backend() backend {
+	switch {
+	case s.Testbed != nil:
+		return backendTestbed
+	case s.Engine == EngineSharded:
+		return backendSharded
+	}
+	return backendSequential
+}
+
+// Check is the one place a spec's combination of backend, features, and
+// system is vetted: the façade calls it from New, and RunSpec reports its
+// error as RunResult.Err, so every entry point rejects a conflicted spec
+// with the same message. The features a backend supports are data (the
+// backend table above), and so are a system's capabilities (its
+// SystemEntry).
+func (s SweepSpec) Check() error {
+	b := s.backend()
+	switch {
+	case s.Testbed != nil && s.Engine == EngineSharded:
+		return fmt.Errorf("harness: testbed runs do not support the sharded engine " +
+			"(one wall clock cannot drive parallel shard clocks)")
+	case s.Scenario != nil && !b.scenario:
+		return fmt.Errorf("harness: %s runs do not support scenarios "+
+			"(scenario programs drive the sequential emulated network)", b.name)
+	case s.Dynamics != nil && !b.dynamics:
+		return fmt.Errorf("harness: %s runs do not support rig dynamics (DynamicBandwidth)", b.name)
+	case s.Stream != nil && !b.stream:
+		return fmt.Errorf("harness: %s runs do not support live streaming; streams need the "+
+			"sequential engine on the emulated network (the lag tracker samples one deterministic clock)", b.name)
+	}
+	name := s.systemName()
+	e, ok := LookupSystem(name)
+	switch {
+	case !ok:
+		return fmt.Errorf("harness: unknown protocol %q (registered: %v)", name, SystemNames())
+	case b == backendSharded && e.BuildSharded == nil:
+		return fmt.Errorf("harness: protocol %q is not registered for sharded execution (sharded: %v)",
+			name, systemNamesWhere(func(e SystemEntry) bool { return e.BuildSharded != nil }))
+	case b != backendSharded && e.Build == nil:
+		return fmt.Errorf("harness: protocol %q needs EngineSharded (it has no single-rig builder)", name)
+	case s.Stream != nil && !e.Stream:
+		return fmt.Errorf("harness: protocol %q does not support live streaming (its source cannot pace emission)", name)
+	}
+	return nil
+}
+
+// RunSpec executes one experiment spec on its backend: the sequential
+// event loop, the sharded group (runSpecSharded), or the UDP testbed
+// (runSpecTestbed). Every sweep cell and RunOne go through here, so a
+// sweep's rigs are bit-identical to single runs. Hooks only read state, so
+// an observed run is bit-identical to an unobserved one with the same spec.
+// A spec failing Check returns at once with RunResult.Err set.
 func RunSpec(s SweepSpec) *RunResult {
-	if s.Stream != nil && (s.Testbed != nil || s.Engine == EngineSharded) {
-		return &RunResult{Label: s.Label,
-			Err: fmt.Errorf("harness: stream mode requires the sequential emulated engine")}
+	if err := s.Check(); err != nil {
+		return failed(&s, err)
 	}
-	if s.Testbed != nil {
+	switch s.backend() {
+	case backendTestbed:
 		return runSpecTestbed(s)
-	}
-	if s.Engine == EngineSharded {
+	case backendSharded:
 		return runSpecSharded(s)
 	}
+	return runSpecSequential(s)
+}
+
+// runSpecSequential builds one rig, the optional compiled scenario
+// (timeline events plus flash-crowd wave sessions), the optional dynamics
+// hook, and the optional stream tracker, then drains the event queue with
+// a completion early-exit.
+func runSpecSequential(s SweepSpec) *RunResult {
 	deadline := s.Deadline
-	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
-	rig := NewRig(topo, s.Seed)
+	rig := NewRig(s.topology(), s.Seed)
 	rig.RT.Tracer = s.Tracer
-	var stop func() bool
-	if s.Hooks != nil {
-		rig.OnBlock = s.Hooks.OnBlock
-		rig.Annotate = s.Hooks.Annotate
-		stop = s.Hooks.Stop
-	}
+	stop := s.Hooks.install(rig)
 	if s.Stream != nil {
-		sp := s.Stream.normalized()
+		sp := s.Stream.Normalized()
 		if end := sp.endTime(s.Scenario); end < deadline || deadline <= 0 {
 			deadline = end
 		}
@@ -304,28 +410,59 @@ func RunSpec(s SweepSpec) *RunResult {
 	if s.Dynamics != nil {
 		s.Dynamics(rig)
 	}
-	if s.Hooks != nil {
-		if s.Hooks.OnStart != nil {
-			s.Hooks.OnStart(rig, sys)
-		}
-		if s.Hooks.TickEvery > 0 && s.Hooks.OnTick != nil {
-			scheduleTicks(rig, sys, s.Hooks, deadline)
-		}
+	rigs := []*Rig{rig}
+	if s.Hooks.start(rigs, sys) {
+		scheduleTicks(rigs, sys, s.Hooks, deadline)
 	}
 	sys.Start()
-	stopped := runUntilComplete(rig, sys, deadline, stop)
-	res := &RunResult{
-		Label:        s.Label,
-		CDF:          rig.CDF(),
-		PerNode:      rig.Done,
-		Finished:     sys.Complete(),
-		Stopped:      stopped,
-		EndedAt:      rig.Eng.Now(),
-		ControlBytes: rig.RT.ControlBytes,
-		DataBytes:    rig.RT.DataBytes,
+	return finish(&s, rigs, sys, runUntilComplete(rig, sys, deadline, stop))
+}
+
+// topology draws the spec's topology from the seed's "topo" stream.
+func (s *SweepSpec) topology() *netem.Topology {
+	return s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
+}
+
+// failed is the result of a run that could not execute at all.
+func failed(s *SweepSpec, err error) *RunResult {
+	return &RunResult{
+		Label:   s.Label,
+		CDF:     &trace.CDF{},
+		PerNode: map[netem.NodeID]sim.Time{},
+		Err:     err,
 	}
-	if rig.Stream != nil {
-		res.Stream = rig.Stream.Report(float64(rig.Eng.Now()))
+}
+
+// finish assembles the result of a run over its rigs — shared by every
+// backend — and hands it to Hooks.OnResult. Sums run in rig order and each
+// rig's completions enter the CDF in node order, so a result is a pure
+// function of the run; over one rig every sum is that rig's own value.
+func finish(s *SweepSpec, rigs []*Rig, sys System, stopped bool) *RunResult {
+	done := 0
+	for _, r := range rigs {
+		done += len(r.Done)
+	}
+	res := &RunResult{
+		Label:    s.Label,
+		CDF:      &trace.CDF{},
+		PerNode:  make(map[netem.NodeID]sim.Time, done),
+		Finished: sys.Complete(),
+		Stopped:  stopped,
+	}
+	for _, r := range rigs {
+		for id, at := range r.Done {
+			res.PerNode[id] = at
+		}
+		res.CDF.Merge(r.CDF())
+		res.ControlBytes += r.RT.ControlBytes
+		res.DataBytes += r.RT.DataBytes
+		if now := r.Eng.Now(); now > res.EndedAt {
+			res.EndedAt = now
+		}
+	}
+	// Only sequential runs stream, and they have a single rig.
+	if st := rigs[0].Stream; st != nil {
+		res.Stream = st.Report(float64(res.EndedAt))
 	}
 	if s.Hooks != nil && s.Hooks.OnResult != nil {
 		s.Hooks.OnResult(res)
@@ -334,20 +471,21 @@ func RunSpec(s SweepSpec) *RunResult {
 }
 
 // scheduleTicks runs the hook's sampling clock as a self-rescheduling
-// engine event, bounded by the run deadline. Tick events only read state,
-// so they cannot perturb the run; they do keep the event queue non-empty
-// until the deadline, which runUntilComplete's completion check makes
-// harmless.
-func scheduleTicks(rig *Rig, sys System, h *Hooks, deadline sim.Time) {
+// engine event on a single-rig run, bounded by the run deadline. Tick
+// events only read state, so they cannot perturb the run; they do keep the
+// event queue non-empty until the deadline, which runUntilComplete's
+// completion check makes harmless.
+func scheduleTicks(rigs []*Rig, sys System, h *Hooks, deadline sim.Time) {
+	eng := rigs[0].Eng
 	var tick func()
 	tick = func() {
-		h.OnTick(rig, sys)
-		if next := rig.Eng.Now() + sim.Time(h.TickEvery); next <= deadline {
-			rig.Eng.Schedule(next, tick)
+		h.OnTick(rigs, sys)
+		if next := eng.Now() + sim.Time(h.TickEvery); next <= deadline {
+			eng.Schedule(next, tick)
 		}
 	}
-	if first := rig.Eng.Now() + sim.Time(h.TickEvery); first <= deadline {
-		rig.Eng.Schedule(first, tick)
+	if first := eng.Now() + sim.Time(h.TickEvery); first <= deadline {
+		eng.Schedule(first, tick)
 	}
 }
 

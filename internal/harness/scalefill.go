@@ -8,7 +8,7 @@ import (
 	"bulletprime/internal/sim"
 )
 
-// scalefill is the sharded registry's reference workload: every node pulls
+// scalefill is the sharded engine's reference workload: every node pulls
 // the file from its own cluster in fillRounds sequential intra-cluster
 // transfers, while per-shard dynamics halve and restore cluster links every
 // 200 ms (the same churn shape as the Scale5000 preset test). Two things
@@ -39,10 +39,11 @@ type scalefillSystem struct {
 }
 
 type fillShard struct {
-	sys  *scalefillSystem
-	slot *ShardSlot
-	rng  *sim.RNG // flow endpoints and sizes
-	dyn  *sim.RNG // dynamics draws
+	sys      *scalefillSystem
+	slot     *Rig
+	clusters []int32  // owned cluster ids, ascending
+	rng      *sim.RNG // flow endpoints and sizes
+	dyn      *sim.RNG // dynamics draws
 
 	tokens uint64 // cross-shard tokens received; shifts future round sizes
 	halved []bool // per owned-cluster index: links currently halved
@@ -59,19 +60,24 @@ type fillNode struct {
 }
 
 func init() {
-	RegisterShardedSystem("scalefill", buildScalefill)
+	RegisterSystem("scalefill", SystemEntry{BuildSharded: buildScalefill})
 }
 
-func buildScalefill(ctx ShardBuildCtx) ShardSystem {
-	sys := &scalefillSystem{rig: ctx.Rig, w: ctx.Workload}
-	for _, slot := range ctx.Rig.Slots {
+func buildScalefill(rig *ShardedRig, w Workload) System {
+	sys := &scalefillSystem{rig: rig, w: w}
+	for k, slot := range rig.Slots {
 		fs := &fillShard{
-			sys:    sys,
-			slot:   slot,
-			rng:    ctx.Rig.Master.Stream(fmt.Sprintf("scalefill#%d", slot.ID)),
-			dyn:    ctx.Rig.Master.Stream(fmt.Sprintf("scalefill-dyn#%d", slot.ID)),
-			halved: make([]bool, len(slot.Clusters)),
+			sys:  sys,
+			slot: slot,
+			rng:  rig.Master.Stream(fmt.Sprintf("scalefill#%d", k)),
+			dyn:  rig.Master.Stream(fmt.Sprintf("scalefill-dyn#%d", k)),
 		}
+		for c, owner := range rig.Plan.ClusterShard {
+			if int(owner) == k {
+				fs.clusters = append(fs.clusters, int32(c))
+			}
+		}
+		fs.halved = make([]bool, len(fs.clusters))
 		slot.Shard.SetHandler(fs)
 		sys.fills = append(sys.fills, fs)
 		sys.total += len(slot.Members)
@@ -84,7 +90,7 @@ func buildScalefill(ctx ShardBuildCtx) ShardSystem {
 // at time zero.
 func (s *scalefillSystem) Start() {
 	for _, fs := range s.fills {
-		for _, cl := range fs.slot.Clusters {
+		for _, cl := range fs.clusters {
 			base, size := clusterSpan(s.rig.Topo.Clusters, cl)
 			for i := 0; i < size; i++ {
 				n := &fillNode{fs: fs, id: netem.NodeID(base + i), base: base, size: size}
@@ -171,7 +177,7 @@ func (fs *fillShard) roundDone() {
 	if k <= 1 {
 		return
 	}
-	dst := (fs.slot.ID + 1) % k
+	dst := (fs.slot.Shard.ID() + 1) % k
 	at := fs.slot.Eng.Now() + sim.Time(fs.sys.rig.Group.Lookahead())
 	fs.slot.Shard.Post(dst, at, fkToken, nil)
 }
@@ -190,9 +196,9 @@ func (n *fillNode) complete() {
 // Scale5000 preset's churn, run independently per shard so link mutation
 // stays within shard ownership.
 func (fs *fillShard) tick() {
-	if len(fs.slot.Clusters) > 0 {
-		ci := fs.dyn.Intn(len(fs.slot.Clusters))
-		cl := fs.slot.Clusters[ci]
+	if len(fs.clusters) > 0 {
+		ci := fs.dyn.Intn(len(fs.clusters))
+		cl := fs.clusters[ci]
 		factor := 0.5
 		if fs.halved[ci] {
 			factor = 2.0

@@ -2,14 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/obs"
-	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
-	"bulletprime/internal/trace"
 )
 
 // EngineMode selects how a run executes: the classic single-threaded event
@@ -22,8 +18,8 @@ const (
 	EngineSequential EngineMode = iota
 	// EngineSharded partitions the run into per-cluster shards executing
 	// in parallel under a conservative lookahead clock (see sim.Group and
-	// DESIGN.md §9). Requires a clustered topology and a system from the
-	// sharded registry.
+	// DESIGN.md §9). Requires a clustered topology and a system with a
+	// sharded builder (SystemEntry.BuildSharded).
 	EngineSharded
 )
 
@@ -98,28 +94,17 @@ func PlanShards(topo *netem.Topology, shards int) ShardPlan {
 	return p
 }
 
-// ShardSlot is one shard's private rig: its own engine, network emulator
-// instance, and protocol runtime over the shared read-mostly topology. All
-// flows and connections on a slot stay within its owned nodes (the Owns
-// guard enforces it); the only cross-shard channel is the shard's mailbox.
-type ShardSlot struct {
-	ID       int
-	Shard    *sim.Shard
-	Eng      *sim.Engine
-	Net      *netem.Network
-	RT       *proto.Runtime
-	Members  []netem.NodeID // owned nodes, ascending
-	Clusters []int32        // owned cluster ids, ascending
-	Done     map[netem.NodeID]sim.Time
-}
-
-// ShardedRig is the parallel counterpart of Rig: one topology, one shard
-// group, and one ShardSlot per shard.
+// ShardedRig is a sharded run's set of rigs: one topology, one shard group,
+// and one Rig per shard (Slots, in shard order). A slot's rig owns its
+// shard's engine, network emulator instance, and runtime over the shared
+// read-mostly topology; all flows and connections on it stay within its
+// owned nodes (the Owns guard enforces it), and the only cross-shard
+// channel is the shard's mailbox.
 type ShardedRig struct {
 	Topo   *netem.Topology
 	Plan   ShardPlan
 	Group  *sim.Group
-	Slots  []*ShardSlot
+	Slots  []*Rig
 	Master *sim.RNG
 }
 
@@ -134,163 +119,52 @@ func NewShardedRig(topo *netem.Topology, seed int64, shards int) *ShardedRig {
 	for k := range engines {
 		engines[k] = sim.NewEngine()
 	}
+	members := make([][]netem.NodeID, plan.Shards)
+	for i, k := range plan.NodeShard {
+		members[k] = append(members[k], netem.NodeID(i))
+	}
 	group := sim.NewGroup(engines, plan.Lookahead)
 	rig := &ShardedRig{Topo: topo, Plan: plan, Group: group, Master: master}
-	rig.Slots = make([]*ShardSlot, plan.Shards)
+	rig.Slots = make([]*Rig, plan.Shards)
 	for k := range rig.Slots {
 		k32 := int32(k)
-		net := netem.New(engines[k], topo, master.Stream(fmt.Sprintf("net#%d", k)))
-		net.Owns = func(id netem.NodeID) bool { return plan.NodeShard[id] == k32 }
-		rt := proto.NewRuntime(engines[k], net)
-		rt.OwnershipHint = func(id netem.NodeID) string {
+		slot := newRig(engines[k], topo, master, fmt.Sprintf("net#%d", k), members[k])
+		slot.Shard = group.Shard(k)
+		slot.Net.Owns = func(id netem.NodeID) bool { return plan.NodeShard[id] == k32 }
+		slot.RT.OwnershipHint = func(id netem.NodeID) string {
 			return fmt.Sprintf("node %d belongs to shard %d, this runtime serves shard %d",
 				id, plan.NodeShard[id], k32)
 		}
-		rig.Slots[k] = &ShardSlot{
-			ID:    k,
-			Shard: group.Shard(k),
-			Eng:   engines[k],
-			Net:   net,
-			RT:    rt,
-			Done:  make(map[netem.NodeID]sim.Time),
-		}
-	}
-	for i, s := range plan.NodeShard {
-		slot := rig.Slots[s]
-		slot.Members = append(slot.Members, netem.NodeID(i))
-	}
-	for c, s := range plan.ClusterShard {
-		slot := rig.Slots[s]
-		slot.Clusters = append(slot.Clusters, int32(c))
+		rig.Slots[k] = slot
 	}
 	return rig
 }
 
-// InstallMeters hangs one data-rate meter on every slot's runtime and
-// returns them in slot order; observers sum the per-shard rates at horizon
-// barriers. Call it before the group starts. Meters only receive writes
-// from their own slot's events, so they add no cross-shard coupling.
-func (r *ShardedRig) InstallMeters(bucket float64, buckets int) []*trace.RateMeter {
-	meters := make([]*trace.RateMeter, len(r.Slots))
-	for k, slot := range r.Slots {
-		meters[k] = trace.NewRateMeter(bucket, buckets)
-		slot.RT.DataMeter = meters[k]
-	}
-	return meters
-}
-
-// ShardSystem is the common face of one sharded protocol session. Start
-// seeds initial events on every shard's engine (it runs before the group
-// starts, with all engines at time zero); Complete and DoneAt are read
-// after the group run finishes.
-type ShardSystem interface {
-	Start()
-	Complete() bool
-	DoneAt() sim.Time
-}
-
-// ShardBuildCtx carries what a sharded protocol needs to construct one
-// session: the rig (slots, plan, group) and the workload.
-type ShardBuildCtx struct {
-	Rig      *ShardedRig
-	Workload Workload
-}
-
-// ShardSystemBuilder constructs a sharded protocol session. Builders
-// register with RegisterShardedSystem; the registry is separate from the
-// sequential one because a sharded system is built against slots and
-// mailboxes rather than a single rig.
-type ShardSystemBuilder func(ShardBuildCtx) ShardSystem
-
-var (
-	shardSystemsMu sync.RWMutex
-	shardSystems   = make(map[string]ShardSystemBuilder)
-)
-
-// RegisterShardedSystem adds a named sharded protocol builder to the open
-// registry; same contract as RegisterSystem.
-func RegisterShardedSystem(name string, b ShardSystemBuilder) {
-	if name == "" {
-		panic("harness: RegisterShardedSystem with empty name")
-	}
-	if b == nil {
-		panic("harness: RegisterShardedSystem with nil builder")
-	}
-	shardSystemsMu.Lock()
-	defer shardSystemsMu.Unlock()
-	if _, dup := shardSystems[name]; dup {
-		panic(fmt.Sprintf("harness: sharded system %q already registered", name))
-	}
-	shardSystems[name] = b
-}
-
-// LookupShardedSystem returns the registered sharded builder for name.
-func LookupShardedSystem(name string) (ShardSystemBuilder, bool) {
-	shardSystemsMu.RLock()
-	defer shardSystemsMu.RUnlock()
-	b, ok := shardSystems[name]
-	return b, ok
-}
-
-// ShardedSystemNames lists every registered sharded system, sorted.
-func ShardedSystemNames() []string {
-	shardSystemsMu.RLock()
-	defer shardSystemsMu.RUnlock()
-	names := make([]string, 0, len(shardSystems))
-	for n := range shardSystems {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// runSpecSharded executes one spec on the sharded engine. The sequential
-// path's scenario programs, rig dynamics, and single-engine observation
-// hooks are built around one engine and are not supported here — sharded
-// systems own their dynamics per shard. Hooks.Stop (polled from shard
-// goroutines), Hooks.OnResult, and the sharded observation hooks
-// (OnShardStart, and OnShardTick with TickEvery) are honored.
+// runSpecSharded executes one spec on the sharded engine. Sharded systems
+// own their dynamics per shard; Check has already rejected scenarios, rig
+// dynamics, and streams.
 //
 // An observed run samples at horizon barriers: instead of one Group.Run to
 // the deadline, the group is stepped Run(t), Run(t+TickEvery), … — between
-// steps every shard clock sits at exactly t, so OnShardTick reads a
-// coherent cross-shard snapshot. Horizon stepping re-partitions the
-// conservative windows but never the event order (the merge key is
-// window-independent), and the stepped run still executes to the full
-// deadline, so an observed run is bit-identical to an unobserved one.
+// steps every shard clock sits at exactly t, so OnTick reads a coherent
+// cross-shard snapshot. Horizon stepping re-partitions the conservative
+// windows but never the event order (the merge key is window-independent),
+// and the stepped run still executes to the full deadline, so an observed
+// run is bit-identical to an unobserved one.
 func runSpecSharded(s SweepSpec) *RunResult {
-	if s.Scenario != nil {
-		panic("harness: sharded runs do not support scenario programs")
-	}
-	if s.Dynamics != nil {
-		panic("harness: sharded runs do not support rig dynamics; sharded systems drive their own per-shard dynamics")
-	}
-	var stop func() bool
-	var onShardStart, onShardTick func(*ShardedRig, ShardSystem)
-	tickEvery := 0.0
-	if s.Hooks != nil {
-		if s.Hooks.OnStart != nil || s.Hooks.OnTick != nil || s.Hooks.OnBlock != nil || s.Hooks.Annotate != nil {
-			panic("harness: sharded runs support only the Stop, OnResult, OnShardStart, and OnShardTick hooks")
-		}
-		stop = s.Hooks.Stop
-		onShardStart = s.Hooks.OnShardStart
-		onShardTick = s.Hooks.OnShardTick
-		tickEvery = s.Hooks.TickEvery
-	}
-	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
+	topo := s.topology()
 	// Only the topology itself knows whether it can shard, and the network
 	// registry is open — so sequential-only networks surface here as an
 	// error result rather than a PlanShards panic deep in the run.
 	if topo.Clusters == nil || topo.CrossLookahead <= 0 {
-		return &RunResult{
-			Label:   s.Label,
-			CDF:     &trace.CDF{},
-			PerNode: map[netem.NodeID]sim.Time{},
-			Err: fmt.Errorf("harness: the sharded engine needs a clustered topology " +
-				"(this network builds no cluster assignment; pick a clustered preset)"),
-		}
+		return failed(&s, fmt.Errorf("harness: the sharded engine needs a clustered topology "+
+			"(this network builds no cluster assignment; pick a clustered preset)"))
 	}
 	rig := NewShardedRig(topo, s.Seed, s.Shards)
+	var stop func() bool
+	for _, slot := range rig.Slots {
+		stop = s.Hooks.install(slot)
+	}
 	var shardTracers []*obs.Tracer
 	if s.Tracer != nil {
 		// Each shard records into a private tracer (no cross-shard
@@ -302,23 +176,18 @@ func runSpecSharded(s SweepSpec) *RunResult {
 			slot.RT.Tracer = shardTracers[k]
 		}
 	}
-	name := s.systemName()
-	b, ok := LookupShardedSystem(name)
-	if !ok {
-		panic(fmt.Sprintf("harness: unknown sharded system %q (registered: %v)", name, ShardedSystemNames()))
-	}
-	sys := b(ShardBuildCtx{Rig: rig, Workload: s.Workload})
-	if onShardStart != nil {
-		onShardStart(rig, sys)
-	}
+	e, _ := LookupSystem(s.systemName())
+	sys := e.BuildSharded(rig, s.Workload)
+	ticks := s.Hooks.start(rig.Slots, sys)
 	sys.Start()
 	var stopped bool
-	if tickEvery > 0 && onShardTick != nil {
+	if ticks {
 		// Horizon-stepped run: advance every shard to the next sampling
 		// barrier, snapshot, repeat. No completion early-exit — the
 		// unobserved path below runs to the full deadline too, so EndedAt
 		// (and everything else) matches bit for bit.
-		for t := sim.Time(tickEvery); ; t += sim.Time(tickEvery) {
+		every := sim.Time(s.Hooks.TickEvery)
+		for t := every; ; t += every {
 			if t > s.Deadline {
 				t = s.Deadline
 			}
@@ -326,7 +195,7 @@ func runSpecSharded(s SweepSpec) *RunResult {
 			if stopped {
 				break
 			}
-			onShardTick(rig, sys)
+			s.Hooks.OnTick(rig.Slots, sys)
 			if t >= s.Deadline {
 				break
 			}
@@ -337,40 +206,5 @@ func runSpecSharded(s SweepSpec) *RunResult {
 	if s.Tracer != nil {
 		s.Tracer.Absorb(shardTracers...)
 	}
-
-	// Merge per-shard results in shard order, so aggregates that sum
-	// floats are deterministic.
-	res := &RunResult{
-		Label:    s.Label,
-		PerNode:  make(map[netem.NodeID]sim.Time),
-		Finished: !stopped && sys.Complete(),
-		Stopped:  stopped,
-	}
-	res.CDF = &trace.CDF{}
-	for _, slot := range rig.Slots {
-		for id, at := range slot.Done {
-			res.PerNode[id] = at
-		}
-		res.ControlBytes += slot.RT.ControlBytes
-		res.DataBytes += slot.RT.DataBytes
-		if now := slot.Eng.Now(); now > res.EndedAt {
-			res.EndedAt = now
-		}
-	}
-	// CDF insertion order does not affect the curve, but per-slot loops in
-	// shard order keep even the internal sample layout reproducible.
-	for _, slot := range rig.Slots {
-		ids := make([]netem.NodeID, 0, len(slot.Done))
-		for id := range slot.Done {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			res.CDF.Add(float64(slot.Done[id]))
-		}
-	}
-	if s.Hooks != nil && s.Hooks.OnResult != nil {
-		s.Hooks.OnResult(res)
-	}
-	return res
+	return finish(&s, rig.Slots, sys, stopped)
 }

@@ -146,41 +146,45 @@ func TestShardedSingleShard(t *testing.T) {
 	}
 }
 
-func TestShardedRunRejectsSequentialFeatures(t *testing.T) {
-	base := shardedSpec(1, 4, 1)
-
-	spec := base
-	spec.Dynamics = func(*Rig) {}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sharded run with Dynamics did not panic")
+// TestShardedHooks pins the one hook contract on the sharded engine:
+// OnStart sees every shard's rig in shard order, OnTick fires at horizon
+// barriers where all shard clocks agree, and sampling leaves the result
+// bit-identical to the unobserved run.
+func TestShardedHooks(t *testing.T) {
+	oracle := RunSpec(shardedSpec(1, 4, 1))
+	spec := shardedSpec(1, 4, 1)
+	var started, ticks int
+	spec.Hooks = &Hooks{
+		OnStart: func(rigs []*Rig, sys System) {
+			started++
+			if len(rigs) != 4 {
+				t.Fatalf("OnStart saw %d rigs, want 4", len(rigs))
 			}
-		}()
-		RunSpec(spec)
-	}()
-
-	spec = base
-	spec.Hooks = &Hooks{OnTick: func(*Rig, System) {}, TickEvery: 1}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sharded run with OnTick did not panic")
+			for k, r := range rigs {
+				if r.Shard == nil || r.Shard.ID() != k {
+					t.Fatalf("rig %d is not shard %d", k, k)
+				}
 			}
-		}()
-		RunSpec(spec)
-	}()
-
-	spec = base
-	spec.System = "BulletPrime" // sequential registry only
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sharded run with sequential-only system did not panic")
+		},
+		TickEvery: 2,
+		OnTick: func(rigs []*Rig, sys System) {
+			ticks++
+			want := sim.Time(2 * ticks)
+			for k, r := range rigs {
+				if r.Eng.Now() != want {
+					t.Fatalf("tick %d: shard %d clock %v, want %v", ticks, k, r.Eng.Now(), want)
+				}
 			}
-		}()
-		RunSpec(spec)
-	}()
+		},
+	}
+	res := RunSpec(spec)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if started != 1 || ticks != 20 {
+		t.Fatalf("OnStart fired %d times, OnTick %d times; want 1 and 20 (deadline 40, every 2)", started, ticks)
+	}
+	assertSameResult(t, "observed vs unobserved", oracle, res)
 }
 
 // TestShardedStopHook checks cancellation plumbing: Hooks.Stop ends the run

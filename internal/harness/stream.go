@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/scenario"
@@ -40,11 +39,12 @@ const (
 	DefaultDrain        = 15.0
 )
 
-// normalized returns the spec with defaults applied. It panics on a rate or
-// duration that cannot describe a stream — StreamSpec reaches RunSpec either
-// from the façade (which validated it) or from test code, where a loud
-// failure beats an empty run.
-func (sp StreamSpec) normalized() StreamSpec {
+// Normalized returns the spec with defaults applied — the one source of the
+// streaming defaults, which the façade applies through it too. It is
+// idempotent, and it panics on a rate or duration that cannot describe a
+// stream: StreamSpec reaches it either from the façade (which validated
+// it) or from test code, where a loud failure beats an empty run.
+func (sp StreamSpec) Normalized() StreamSpec {
 	if sp.BitrateBps <= 0 || sp.Duration <= 0 {
 		panic(fmt.Sprintf("harness: StreamSpec needs positive BitrateBps and Duration (got %v, %v)",
 			sp.BitrateBps, sp.Duration))
@@ -123,29 +123,4 @@ func joinViewers(rig *Rig, cohort []netem.NodeID, at float64) {
 	for _, id := range cohort[1:] {
 		rig.Stream.Join(id, at)
 	}
-}
-
-// Stream-capable registry: systems whose builders honor BuildCtx.StreamBps
-// (live source pacing). The façade consults this before accepting a
-// streaming RunConfig, so a protocol that would silently run one-shot is
-// rejected up front instead of producing meaningless lag numbers.
-var (
-	streamCapableMu sync.RWMutex
-	streamCapable   = make(map[string]bool)
-)
-
-// RegisterStreamCapable marks a registered system as honoring
-// BuildCtx.StreamBps. Like RegisterSystem, it is an init-time act.
-func RegisterStreamCapable(name string) {
-	streamCapableMu.Lock()
-	defer streamCapableMu.Unlock()
-	streamCapable[name] = true
-}
-
-// StreamCapable reports whether the named system supports live-stream
-// pacing.
-func StreamCapable(name string) bool {
-	streamCapableMu.RLock()
-	defer streamCapableMu.RUnlock()
-	return streamCapable[name]
 }

@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"bulletprime/internal/core"
-	"bulletprime/internal/lab"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/obs"
 	"bulletprime/internal/scenario"
@@ -29,15 +27,16 @@ type SweepSpec struct {
 	Deadline sim.Time
 
 	// System names a protocol from the open registry (RegisterSystem) and
-	// takes precedence over Kind; empty means Kind.String(). The façade's
-	// registered third-party protocols arrive through this field.
+	// takes precedence over Kind; empty means Kind's registry name. The
+	// façade's protocols arrive through this field.
 	System string
 
 	// Engine selects the execution engine. EngineSequential (the zero
 	// value) runs the classic single-threaded loop; EngineSharded
 	// partitions the run by topology cluster and executes shards in
 	// parallel under a conservative clock. Sharded runs require a clustered
-	// TopoFn, a system from the sharded registry, and no Scenario.
+	// TopoFn and a system with a sharded builder; Check lists the features
+	// each engine supports.
 	Engine EngineMode
 
 	// Shards is the shard count for EngineSharded; <= 0 picks the default
@@ -66,7 +65,7 @@ type SweepSpec struct {
 	// rebuffering, and goodput. The Workload's FileBytes may be left zero to
 	// derive the content size from the stream geometry. Incompatible with
 	// EngineSharded and Testbed; requires a stream-capable system
-	// (RegisterStreamCapable).
+	// (SystemEntry.Stream).
 	Stream *StreamSpec
 
 	// Testbed, when non-nil, runs the spec over the real-socket UDP backend
@@ -97,7 +96,7 @@ func (s *SweepSpec) systemName() string {
 	if s.System != "" {
 		return s.System
 	}
-	return s.Kind.String()
+	return s.Kind.system()
 }
 
 // Sweep runs every spec across a pool of parallel workers and returns the
@@ -135,33 +134,6 @@ func Sweep(specs []SweepSpec, parallel int) []*RunResult {
 	}
 	wg.Wait()
 	return results
-}
-
-// ExpandReps fans each spec out into reps repetitions with
-// lab.RepSeed-derived master seeds, in spec-major order (all repetitions
-// of spec 0, then spec 1, …). Repetition 0 keeps the spec verbatim, so
-// ExpandReps(specs, 1) is the identity; higher repetitions get "#repN"
-// appended to non-empty labels. Everything else about a repetition —
-// topology builder, scenario program, hooks — is shared by value, which
-// is safe for the same reason sweeps already fan one compiled scenario
-// across seeds: specs only carry immutable inputs plus per-rig state
-// derived from the seed. reps <= 1 returns specs unchanged.
-func ExpandReps(specs []SweepSpec, reps int) []SweepSpec {
-	if reps <= 1 {
-		return specs
-	}
-	out := make([]SweepSpec, 0, len(specs)*reps)
-	for _, s := range specs {
-		for r := 0; r < reps; r++ {
-			rs := s
-			rs.Seed = lab.RepSeed(s.Seed, r)
-			if r > 0 && rs.Label != "" {
-				rs.Label = fmt.Sprintf("%s#rep%d", s.Label, r)
-			}
-			out = append(out, rs)
-		}
-	}
-	return out
 }
 
 // AggregateCDF merges the completion-time CDFs of every result into one,

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"bulletprime/internal/lab"
 	"bulletprime/internal/sim"
 )
 
@@ -128,40 +127,5 @@ func TestSweepOnResultCapturesCells(t *testing.T) {
 		if captured[s.Label] != results[i] {
 			t.Fatalf("cell %d: captured result is not the returned result", i)
 		}
-	}
-}
-
-// TestExpandReps pins the repetition fan-out: spec-major order, RepSeed
-// derivation, repetition-0 identity, and label suffixing.
-func TestExpandReps(t *testing.T) {
-	specs := sweepTestSpecs()[:2]
-	if got := ExpandReps(specs, 1); len(got) != 2 || got[0].Seed != specs[0].Seed {
-		t.Fatalf("reps=1 must be the identity, got %d specs", len(got))
-	}
-	out := ExpandReps(specs, 3)
-	if len(out) != 6 {
-		t.Fatalf("2 specs x 3 reps = %d, want 6", len(out))
-	}
-	for i, s := range specs {
-		for r := 0; r < 3; r++ {
-			rs := out[i*3+r]
-			if rs.Seed != lab.RepSeed(s.Seed, r) {
-				t.Fatalf("spec %d rep %d: seed %d, want %d", i, r, rs.Seed, lab.RepSeed(s.Seed, r))
-			}
-			wantLabel := s.Label
-			if r > 0 {
-				wantLabel = fmt.Sprintf("%s#rep%d", s.Label, r)
-			}
-			if rs.Label != wantLabel {
-				t.Fatalf("spec %d rep %d: label %q, want %q", i, r, rs.Label, wantLabel)
-			}
-			if rs.Kind != s.Kind || rs.Workload != s.Workload {
-				t.Fatalf("spec %d rep %d: non-seed fields mutated", i, r)
-			}
-		}
-	}
-	// Repetition 0 runs bit-identically to the unexpanded spec.
-	if out[0].Seed != specs[0].Seed || out[0].Label != specs[0].Label {
-		t.Fatalf("rep 0 not verbatim: %+v", out[0])
 	}
 }

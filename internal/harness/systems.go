@@ -35,31 +35,47 @@ type BuildCtx struct {
 	// CoreMut-installed callback rather than replacing one.
 	OnBlock func(node netem.NodeID, blockID, count int)
 	// StreamBps, when positive, asks the session to pace its source at this
-	// rate (live-streaming mode). Builders that honor it register with
-	// RegisterStreamCapable; others may ignore it — the façade rejects the
-	// combination before a rig is built.
+	// rate (live-streaming mode). Only entries registered with Stream set
+	// receive it; Check rejects a stream on any other system.
 	StreamBps float64
 }
 
-// SystemBuilder constructs a protocol session from a build context. Third
-// parties register builders with RegisterSystem to plug new protocols into
-// the harness (and, via the bulletprime façade, into RunConfig.Protocol)
-// without touching any switch statement.
+// SystemBuilder constructs a protocol session on one rig from a build
+// context.
 type SystemBuilder func(BuildCtx) System
+
+// SystemEntry is one protocol in the open registry. Its capabilities are
+// data: it runs on the sequential engine and the testbed when it has Build,
+// on the sharded engine when it has BuildSharded, and carries a live
+// stream when Stream is set. Check derives every protocol rejection from
+// these fields.
+type SystemEntry struct {
+	// Build constructs a session over one rig's cohort; nil for a
+	// sharded-only system.
+	Build SystemBuilder
+	// BuildSharded constructs one session spanning every slot of a sharded
+	// rig; nil for a system that cannot run sharded.
+	BuildSharded func(*ShardedRig, Workload) System
+	// Stream marks Build as honouring BuildCtx.StreamBps.
+	Stream bool
+}
 
 var (
 	systemsMu sync.RWMutex
-	systems   = make(map[string]SystemBuilder)
+	systems   = make(map[string]SystemEntry)
 )
 
-// RegisterSystem adds a named protocol builder to the open registry. It
-// panics on an empty name, nil builder, or duplicate registration —
-// registration is an init-time programming act, like http.Handle.
-func RegisterSystem(name string, b SystemBuilder) {
+// RegisterSystem adds a protocol to the open registry under its façade
+// Protocol name, so third parties plug new protocols into the harness (and,
+// via the bulletprime façade, into RunConfig.Protocol) without touching any
+// switch statement. It panics on an empty name, an entry with no builder,
+// or a duplicate — registration is an init-time programming act, like
+// http.Handle.
+func RegisterSystem(name string, e SystemEntry) {
 	if name == "" {
 		panic("harness: RegisterSystem with empty name")
 	}
-	if b == nil {
+	if e.Build == nil && e.BuildSharded == nil {
 		panic("harness: RegisterSystem with nil builder")
 	}
 	systemsMu.Lock()
@@ -67,44 +83,49 @@ func RegisterSystem(name string, b SystemBuilder) {
 	if _, dup := systems[name]; dup {
 		panic(fmt.Sprintf("harness: system %q already registered", name))
 	}
-	systems[name] = b
+	systems[name] = e
 }
 
-// LookupSystem returns the registered builder for name, or false.
-func LookupSystem(name string) (SystemBuilder, bool) {
+// LookupSystem returns the registry entry for name, or false.
+func LookupSystem(name string) (SystemEntry, bool) {
 	systemsMu.RLock()
 	defer systemsMu.RUnlock()
-	b, ok := systems[name]
-	return b, ok
+	e, ok := systems[name]
+	return e, ok
 }
 
 // SystemNames lists every registered system, sorted.
 func SystemNames() []string {
+	return systemNamesWhere(func(SystemEntry) bool { return true })
+}
+
+// systemNamesWhere lists the registered systems whose entry satisfies
+// keep, sorted.
+func systemNamesWhere(keep func(SystemEntry) bool) []string {
 	systemsMu.RLock()
 	defer systemsMu.RUnlock()
-	names := make([]string, 0, len(systems))
-	for n := range systems {
-		names = append(names, n)
+	var names []string
+	for n, e := range systems {
+		if keep(e) {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
-// The four paper systems self-register under their ProtoKind.String()
-// names, so BuildSystemFor's kind-based callers resolve through the same
-// registry as third-party protocols.
+// The four paper systems self-register under their façade names, so
+// BuildSystem's kind-based callers resolve through the same registry as
+// third-party protocols.
 func init() {
-	RegisterSystem(KindBulletPrime.String(), buildBulletPrime)
-	RegisterSystem(KindBullet.String(), buildBullet)
-	RegisterSystem(KindBitTorrent.String(), buildBitTorrent)
-	RegisterSystem(KindSplitStream.String(), buildSplitStream)
-	// Bullet' with delay-gradient sender selection (DESIGN.md §11): same
-	// session, Config.Selection flipped before CoreMut so experiments can
-	// still override it.
-	RegisterSystem("BulletPrimeDelay", buildBulletPrimeDelay)
-	RegisterStreamCapable(KindBulletPrime.String())
-	RegisterStreamCapable(KindBullet.String())
-	RegisterStreamCapable("BulletPrimeDelay")
+	RegisterSystem(KindBulletPrime.system(), SystemEntry{Build: buildBulletPrime, Stream: true})
+	RegisterSystem(KindBullet.system(), SystemEntry{Build: buildBullet, Stream: true})
+	RegisterSystem(KindBitTorrent.system(), SystemEntry{Build: buildBitTorrent})
+	RegisterSystem(KindSplitStream.system(), SystemEntry{Build: buildSplitStream})
+	// "stream" is Bullet' with delay-gradient sender selection (DESIGN.md
+	// §11): same session, Config.Selection flipped before CoreMut so
+	// experiments can still override it.
+	RegisterSystem("stream", SystemEntry{Build: buildBulletPrimeDelay, Stream: true})
 }
 
 func buildBulletPrime(ctx BuildCtx) System {

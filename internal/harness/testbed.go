@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"bulletprime/internal/netem"
-	"bulletprime/internal/sim"
 	"bulletprime/internal/testbed"
-	"bulletprime/internal/trace"
 )
 
 // TestbedSpec switches a spec's run from the emulated network to the
@@ -39,29 +36,11 @@ type TestbedSpec struct {
 // builds exactly as in an emulated run — same registry, same rig — but the
 // runtime's transport routes all traffic over real sockets, and
 // testbed.Run paces the engine against the wall clock instead of draining
-// the event queue flat out. Emulator-only features (sharded engine,
-// scenarios, netem dynamics) fail fast with RunResult.Err.
+// the event queue flat out. Check has already rejected the emulator-only
+// features (sharded engine, scenarios, netem dynamics, streams); a socket
+// setup failure returns RunResult.Err.
 func runSpecTestbed(s SweepSpec) *RunResult {
-	fail := func(err error) *RunResult {
-		return &RunResult{
-			Label:   s.Label,
-			CDF:     &trace.CDF{},
-			PerNode: map[netem.NodeID]sim.Time{},
-			Err:     err,
-		}
-	}
-	if s.Engine == EngineSharded {
-		return fail(fmt.Errorf("harness: testbed runs do not support the sharded engine"))
-	}
-	if s.Scenario != nil {
-		return fail(fmt.Errorf("harness: testbed runs do not support scenarios (scenario programs drive the emulated network)"))
-	}
-	if s.Dynamics != nil {
-		return fail(fmt.Errorf("harness: testbed runs do not support netem dynamics"))
-	}
-
-	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
-	rig := NewRig(topo, s.Seed)
+	rig := NewRig(s.topology(), s.Seed)
 	clock := testbed.NewClock(s.Testbed.Rate)
 	cfg := testbed.Config{
 		ListenHost: s.Testbed.ListenHost,
@@ -78,7 +57,7 @@ func runSpecTestbed(s SweepSpec) *RunResult {
 	}
 	tr, err := testbed.New(clock, cfg, rig.Members)
 	if err != nil {
-		return fail(err)
+		return failed(&s, err)
 	}
 	defer tr.Stop()
 	rig.RT.Transport = tr
@@ -90,35 +69,12 @@ func runSpecTestbed(s SweepSpec) *RunResult {
 		tr.Trace = rig.RT.Trace
 	}
 
-	var stop func() bool
-	if s.Hooks != nil {
-		rig.OnBlock = s.Hooks.OnBlock
-		rig.Annotate = s.Hooks.Annotate
-		stop = s.Hooks.Stop
-	}
+	stop := s.Hooks.install(rig)
 	sys := rig.BuildNamedSystem(s.systemName(), s.Workload, s.CoreMut, rig.Members, "")
-	if s.Hooks != nil {
-		if s.Hooks.OnStart != nil {
-			s.Hooks.OnStart(rig, sys)
-		}
-		if s.Hooks.TickEvery > 0 && s.Hooks.OnTick != nil {
-			scheduleTicks(rig, sys, s.Hooks, s.Deadline)
-		}
+	rigs := []*Rig{rig}
+	if s.Hooks.start(rigs, sys) {
+		scheduleTicks(rigs, sys, s.Hooks, s.Deadline)
 	}
 	sys.Start()
-	stopped := testbed.Run(rig.Eng, tr, clock, s.Deadline, sys.Complete, stop)
-	res := &RunResult{
-		Label:        s.Label,
-		CDF:          rig.CDF(),
-		PerNode:      rig.Done,
-		Finished:     sys.Complete(),
-		Stopped:      stopped,
-		EndedAt:      rig.Eng.Now(),
-		ControlBytes: rig.RT.ControlBytes,
-		DataBytes:    rig.RT.DataBytes,
-	}
-	if s.Hooks != nil && s.Hooks.OnResult != nil {
-		s.Hooks.OnResult(res)
-	}
-	return res
+	return finish(&s, rigs, sys, testbed.Run(rig.Eng, tr, clock, s.Deadline, sys.Complete, stop))
 }

@@ -8,12 +8,12 @@ import (
 
 // testbedSpec is the smallest loopback testbed run: 8 nodes, a 128 KB file,
 // an accelerated clock so wall time stays test-sized.
-func testbedSpec(system string, seed int64) SweepSpec {
+func testbedSpec(kind ProtoKind, seed int64) SweepSpec {
 	return SweepSpec{
-		Label:    "testbed/" + system,
+		Label:    "testbed/" + kind.String(),
 		Seed:     seed,
 		TopoFn:   LosslessModelNetTopology(8),
-		System:   system,
+		Kind:     kind,
 		Workload: Workload{FileBytes: 128 * 1024, BlockSize: 16 * 1024},
 		Deadline: 1800,
 		Testbed:  &TestbedSpec{Rate: 50},
@@ -28,15 +28,15 @@ func TestTestbedFullDissemination(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run")
 	}
-	for _, system := range []string{"BulletPrime", "BitTorrent"} {
-		t.Run(system, func(t *testing.T) {
-			res := RunSpec(testbedSpec(system, 1))
+	for _, kind := range []ProtoKind{KindBulletPrime, KindBitTorrent} {
+		t.Run(kind.String(), func(t *testing.T) {
+			res := RunSpec(testbedSpec(kind, 1))
 			if res.Err != nil {
 				t.Fatalf("testbed run failed: %v", res.Err)
 			}
 			if !res.Finished {
 				t.Fatalf("%s did not complete over the testbed: %d/7 receivers done by t=%v",
-					system, len(res.PerNode), res.EndedAt)
+					kind, len(res.PerNode), res.EndedAt)
 			}
 			if len(res.PerNode) != 7 {
 				t.Fatalf("completion times for %d receivers, want 7", len(res.PerNode))
@@ -56,7 +56,7 @@ func TestTestbedLossRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run")
 	}
-	spec := testbedSpec("BulletPrime", 7)
+	spec := testbedSpec(KindBulletPrime, 7)
 	spec.Testbed.DropProb = 0.05
 	spec.Testbed.DropSeed = 99
 	spec.Testbed.RTO = 0.01 // 10 ms wall keeps retransmission delays test-sized
@@ -73,7 +73,7 @@ func TestTestbedLossRecovery(t *testing.T) {
 // TestTestbedSmoke is the CI loopback smoke: the smallest preset over
 // testbed-udp under -short, asserting full completion and clean shutdown.
 func TestTestbedSmoke(t *testing.T) {
-	spec := testbedSpec("BulletPrime", 3)
+	spec := testbedSpec(KindBulletPrime, 3)
 	spec.Workload.FileBytes = 64 * 1024
 	res := RunSpec(spec)
 	if res.Err != nil {
@@ -99,7 +99,7 @@ func TestTestbedRejectsEmulatorOnlyFeatures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := testbedSpec("BulletPrime", 1)
+			spec := testbedSpec(KindBulletPrime, 1)
 			tc.mutate(&spec)
 			res := RunSpec(spec)
 			if res.Err == nil {

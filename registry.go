@@ -14,8 +14,10 @@ import (
 // RunConfig.Protocol and RunConfig.Network resolve through them instead of
 // switch statements, so a downstream package can plug in a new
 // dissemination system or emulated environment and round-trip it through
-// New/Run/Sweep without touching any internals. The four paper systems and
-// six paper presets self-register at init.
+// New/Run/Sweep without touching any internals. Protocols live in the
+// harness's one system registry, keyed by their Protocol name, where each
+// entry also records what it can run on (sharded, streaming); the paper
+// systems register there at init, the paper presets here.
 
 // System is one protocol session driven by the harness: Start begins
 // dissemination, Complete reports whether every receiver finished, DoneAt
@@ -43,26 +45,19 @@ type NetworkBuilder func(nodes int) TopologyFn
 
 var (
 	registryMu sync.RWMutex
-	protocols  = make(map[Protocol]string) // façade name -> harness system name
 	networks   = make(map[NetworkPreset]NetworkBuilder)
 )
 
 // RegisterProtocol adds a dissemination system to the open registry under
-// the given RunConfig.Protocol name. It panics on an empty name, nil
-// builder, or duplicate — registration is an init-time act, like
-// http.Handle.
+// the given RunConfig.Protocol name; it runs on the sequential engine and
+// the testbed. It panics on an empty name, nil builder, or duplicate —
+// registration is an init-time act, like http.Handle.
 func RegisterProtocol(name Protocol, build SystemBuilder) {
 	if name == "" {
 		panic("bulletprime: RegisterProtocol with empty name")
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := protocols[name]; dup {
-		panic(fmt.Sprintf("bulletprime: protocol %q already registered", name))
-	}
-	// The harness registry rejects nil builders and duplicate system names.
-	harness.RegisterSystem(string(name), build)
-	protocols[name] = string(name)
+	// The harness registry rejects nil builders and duplicate names.
+	harness.RegisterSystem(string(name), harness.SystemEntry{Build: build})
 }
 
 // RegisterNetwork adds an emulated environment to the open registry under
@@ -84,13 +79,11 @@ func RegisterNetwork(name NetworkPreset, build NetworkBuilder) {
 
 // Protocols lists every registered protocol, sorted.
 func Protocols() []Protocol {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Protocol, 0, len(protocols))
-	for p := range protocols {
-		out = append(out, p)
+	names := harness.SystemNames()
+	out := make([]Protocol, len(names))
+	for i, n := range names {
+		out[i] = Protocol(n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -106,15 +99,6 @@ func Networks() []NetworkPreset {
 	return out
 }
 
-// lookupProtocol resolves a façade protocol name to its harness system
-// name.
-func lookupProtocol(name Protocol) (string, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	sys, ok := protocols[name]
-	return sys, ok
-}
-
 // lookupNetwork resolves a network preset to its builder.
 func lookupNetwork(name NetworkPreset) (NetworkBuilder, bool) {
 	registryMu.RLock()
@@ -123,22 +107,9 @@ func lookupNetwork(name NetworkPreset) (NetworkBuilder, bool) {
 	return b, ok
 }
 
-// The four paper systems already self-register in the harness under their
-// ProtoKind names; here they get their façade names. The six paper presets
-// register their topology generators directly.
+// The paper systems self-register in the harness under their Protocol
+// names; the paper presets register their topology generators here.
 func init() {
-	for name, sys := range map[Protocol]harness.ProtoKind{
-		ProtocolBulletPrime: harness.KindBulletPrime,
-		ProtocolBullet:      harness.KindBullet,
-		ProtocolBitTorrent:  harness.KindBitTorrent,
-		ProtocolSplitStream: harness.KindSplitStream,
-	} {
-		protocols[name] = sys.String()
-	}
-	// ProtocolStream is Bullet' with delay-gradient sender selection; the
-	// harness registers the system itself (it is a core.Config flip, not a
-	// new session type).
-	protocols[ProtocolStream] = "BulletPrimeDelay"
 	networks[NetworkModelNet] = func(n int) TopologyFn { return harness.ModelNetTopology(n) }
 	networks[NetworkModelNetClean] = func(n int) TopologyFn { return harness.LosslessModelNetTopology(n) }
 	networks[NetworkConstrained] = func(n int) TopologyFn { return harness.ConstrainedAccessTopology(n) }
