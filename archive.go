@@ -161,6 +161,22 @@ func fingerprint(cfg RunConfig, seriesEvery float64) (configJSON []byte, scenari
 	return configJSON, scenarioDigest, scenarioName, nil
 }
 
+// ArchiveKey returns the key inputs an unobserved session of cfg records
+// under: the canonical normalized-config JSON and the scenario digest
+// ("" without a scenario). With the seed (also in the config) and the
+// archive's code version they make the run's id. Farms resume by matching
+// archived records against it.
+func ArchiveKey(cfg RunConfig) (config []byte, scenarioDigest string, err error) {
+	norm, err := cfg.normalized()
+	if err != nil {
+		return nil, "", err
+	}
+	// An unobserved session records its series at the normalized cadence,
+	// or none (-1).
+	config, scenarioDigest, _, err = fingerprint(norm, norm.SampleEvery)
+	return config, scenarioDigest, err
+}
+
 // recordRun archives one completed run under its content address.
 func recordRun(a *Archive, cfg RunConfig, res *Result, seriesEvery float64) (string, error) {
 	configJSON, digest, scenarioName, err := fingerprint(cfg, seriesEvery)

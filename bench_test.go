@@ -428,7 +428,7 @@ func benchSweep(b *testing.B, parallel int) {
 	for seed := int64(1); seed <= 4; seed++ {
 		specs = append(specs, harness.SweepSpec{
 			Label: "bench", Seed: seed, TopoFn: harness.ModelNetTopology(12),
-			Kind: harness.KindBulletPrime, Workload: w, Deadline: 3600,
+			System: "bulletprime", Workload: w, Deadline: 3600,
 		})
 	}
 	for i := 0; i < b.N; i++ {
@@ -494,7 +494,7 @@ func BenchmarkScenarioTraceReplay500(b *testing.B) {
 	var recomputes, rates uint64
 	for i := 0; i < b.N; i++ {
 		rig := scenarioBenchRig(7)
-		harness.ScenarioDynamics(sc)(rig)
+		harness.ApplyScenario(rig, sc)
 		rig.Eng.RunUntil(30)
 		recomputes = rig.Net.Recomputes
 		rates = rig.Net.FlowRatesRecomputed
@@ -524,7 +524,7 @@ func BenchmarkScenarioChurn500(b *testing.B) {
 			conn := rig.RT.Node(a).Dial(c)
 			conn.Send(rig.RT.Node(a), proto.Message{Kind: 1, Size: 50e6})
 		}
-		harness.ScenarioDynamics(sc)(rig)
+		harness.ApplyScenario(rig, sc)
 		rig.Eng.RunUntil(30)
 		recomputes = rig.Net.Recomputes
 		rates = rig.Net.FlowRatesRecomputed
@@ -552,7 +552,7 @@ func BenchmarkScenarioTraceReplay5000(b *testing.B) {
 	var wallPerVirtual float64
 	for i := 0; i < b.N; i++ {
 		rig := scenarioBenchRigN(7, 5000)
-		harness.ScenarioDynamics(sc)(rig)
+		harness.ApplyScenario(rig, sc)
 		start := time.Now()
 		rig.Eng.RunUntil(10)
 		wallPerVirtual = time.Since(start).Seconds() / 10
@@ -813,10 +813,10 @@ func BenchmarkStream500(b *testing.B) {
 			Label:    "stream500",
 			Seed:     benchSeed,
 			TopoFn:   harness.LosslessModelNetTopology(500),
-			Kind:     harness.KindBulletPrime,
+			System:   "bulletprime",
 			Workload: harness.Workload{BlockSize: 16 * 1024},
 			Deadline: 120,
-			Stream:   &harness.StreamSpec{BitrateBps: 64 * 1024, Duration: 30, Drain: 45},
+			Stream:   &harness.StreamSpec{BitrateBps: 64 * 1024, Duration: 30, Warmup: -1, Drain: 45},
 		})
 		if res.Err != nil {
 			b.Fatal(res.Err)

@@ -54,6 +54,7 @@ package bulletprime
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/harness"
@@ -164,29 +165,9 @@ const (
 
 // TestbedOptions tunes a NetworkTestbedUDP run; the zero value is the
 // loopback default (127.0.0.1, real-time clock, 50 ms RTO, 8 retries, no
-// injected loss).
-type TestbedOptions struct {
-	// ListenHost is the bind address for nodes without a Peers entry;
-	// empty means 127.0.0.1 with auto-assigned ports.
-	ListenHost string
-	// Peers pins listen addresses ("host:port") per node id — the address
-	// table of a multi-host deployment.
-	Peers map[int]string
-	// Rate is virtual seconds per wall second; 0 means 1 (real time).
-	// Raising it accelerates the protocols' periodic timers against the
-	// wall clock.
-	Rate float64
-	// RTO is the wall-clock retransmission timeout in seconds before the
-	// first resend (each retry doubles it); 0 picks the default 50 ms.
-	RTO float64
-	// MaxRetries bounds resends per frame before the node pair is declared
-	// dead; 0 picks the default 8.
-	MaxRetries int
-	// DropProb injects deterministic uniform packet loss on every
-	// transmission attempt (a test hook; DropSeed seeds the injector).
-	DropProb float64
-	DropSeed int64
-}
+// injected loss). It re-exports harness.TestbedSpec; negative Rate, RTO,
+// or MaxRetries and a DropProb outside [0, 1) are rejected.
+type TestbedOptions = harness.TestbedSpec
 
 // TraceOptions enables structured event tracing for a run: typed spans are
 // recorded for protocol decisions (sender trims and promotions, rechokes,
@@ -211,23 +192,11 @@ type TraceOptions struct {
 // (it is derived as BitrateBps × Duration rounded up to whole blocks; a
 // normalized config such as Experiment.Config carries the derived value);
 // streaming requires a stream-capable protocol (ProtocolBulletPrime,
-// ProtocolBullet, ProtocolStream) on the sequential emulated engine. See
-// DESIGN.md §11.
-type StreamOptions struct {
-	// BitrateBps is the source emission rate in bytes per second.
-	BitrateBps float64
-	// Duration is how long the source emits, in virtual seconds.
-	Duration float64
-	// PlayoutDepth is the viewer buffer depth in seconds of content a
-	// viewer must accumulate before (re)starting playback; 0 picks 4.
-	PlayoutDepth float64
-	// Warmup excludes the startup transient from steady-state goodput:
-	// 0 picks min(Duration/4, 10), negative disables the warmup window.
-	Warmup float64
-	// Drain is how long the run may continue past the last block's emission
-	// so trailing viewers catch up; 0 picks 15.
-	Drain float64
-}
+// ProtocolBullet, ProtocolStream) on the sequential emulated engine. It
+// re-exports harness.StreamSpec, whose field docs give the defaults
+// (PlayoutDepth 4, Warmup min(Duration/4, 10) with negative disabling it,
+// Drain 15). See DESIGN.md §11.
+type StreamOptions = harness.StreamSpec
 
 // RequestStrategy re-exports the §3.3.2 request orderings.
 type RequestStrategy = core.RequestStrategy
@@ -254,7 +223,9 @@ type RunConfig struct {
 	// accepted.
 	Network NetworkPreset
 	// DynamicBandwidth enables the §4.1 synthetic bandwidth-change
-	// process (20 s period, cumulative halving).
+	// process (20 s period, cumulative halving). It runs as one more
+	// scenario event, appended after Scenario's, so it is accepted exactly
+	// where scenarios are.
 	DynamicBandwidth bool
 	// Scenario applies a declarative scenario (LoadScenario or the
 	// scenario package's builders) on top of the preset network: link
@@ -363,13 +334,7 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 		} else if cfg.FileBytes != derived {
 			return cfg, fmt.Errorf("bulletprime: a streaming run derives FileBytes from BitrateBps × Duration; leave it zero")
 		}
-		sp := streamSpec(&s).Normalized()
-		s.PlayoutDepth, s.Drain = sp.PlayoutDepth, sp.Drain
-		// Canonical warmup: positive, or -1 for disabled.
-		s.Warmup = sp.Warmup
-		if s.Warmup == 0 {
-			s.Warmup = -1
-		}
+		s = s.Normalized()
 		cfg.Stream = &s
 	}
 	if cfg.FileBytes <= 0 {
@@ -440,28 +405,15 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 		Engine:   cfg.Engine,
 		Shards:   cfg.Shards,
 		Workers:  cfg.ShardWorkers,
-		Stream:   streamSpec(cfg.Stream),
+		Stream:   cfg.Stream,
+		Testbed:  cfg.Testbed,
 	}
-	if cfg.DynamicBandwidth {
-		spec.Dynamics = harness.SyntheticBandwidthChanges(20)
-	}
-	if cfg.Scenario != nil {
-		prog, err := cfg.Scenario.Compile(cfg.Nodes)
+	if sc := cfg.runScenario(); sc != nil {
+		prog, err := sc.Compile(cfg.Nodes)
 		if err != nil {
 			return spec, fmt.Errorf("bulletprime: %w", err)
 		}
 		spec.Scenario = prog
-	}
-	if cfg.Network == NetworkTestbedUDP {
-		spec.Testbed = &harness.TestbedSpec{
-			ListenHost: cfg.Testbed.ListenHost,
-			Peers:      cfg.Testbed.Peers,
-			Rate:       cfg.Testbed.Rate,
-			RTO:        cfg.Testbed.RTO,
-			MaxRetries: cfg.Testbed.MaxRetries,
-			DropProb:   cfg.Testbed.DropProb,
-			DropSeed:   cfg.Testbed.DropSeed,
-		}
 	}
 	if err := spec.Check(); err != nil {
 		return spec, err
@@ -474,27 +426,21 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 	return spec, nil
 }
 
-// streamSpec lowers the façade's stream options to the harness spec. The
-// two spell the warmup differently: the façade's 0 picks the default and a
-// negative value disables it, the harness's negative value picks the
-// default and 0 disables it.
-func streamSpec(s *StreamOptions) *harness.StreamSpec {
-	if s == nil {
-		return nil
+// runScenario is the one scenario a config runs: the user's Scenario, with
+// DynamicBandwidth lowered to the §4.1 degrade event appended after its
+// events. It never writes to cfg, whose fingerprint hashes the two
+// separately, so archive ids are unchanged.
+func (cfg RunConfig) runScenario() *Scenario {
+	if !cfg.DynamicBandwidth {
+		return cfg.Scenario
 	}
-	warmup := -1.0
-	if s.Warmup < 0 {
-		warmup = 0
-	} else if s.Warmup > 0 {
-		warmup = s.Warmup
+	dyn := harness.SyntheticScenario(20)
+	if cfg.Scenario == nil {
+		return dyn
 	}
-	return &harness.StreamSpec{
-		BitrateBps:   s.BitrateBps,
-		Duration:     s.Duration,
-		PlayoutDepth: s.PlayoutDepth,
-		Warmup:       warmup,
-		Drain:        s.Drain,
-	}
+	merged := *cfg.Scenario
+	merged.Events = slices.Concat(cfg.Scenario.Events, dyn.Events)
+	return &merged
 }
 
 // Annotation is a timestamped timeline marker: a scenario event firing, a

@@ -120,7 +120,7 @@ func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
-	resumed, err := farm.ResumeFromArchive(arch)
+	resumed, err := resumeFarm(farm, arch)
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
@@ -292,12 +292,11 @@ func farmWork(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// runFarmCell executes one leased cell: session run, archive record,
-// lease settle, with a background renewer keeping the lease alive for
-// the duration. Returns true when the cell completed under this lease.
-func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Archive,
-	spec lab.FarmSpec, cell lab.Cell, lease string, ttl time.Duration, name string, stderr io.Writer) bool {
-	exp, err := bulletprime.New(bulletprime.RunConfig{
+// farmCellConfig is the one mapping from a farm cell to the run its worker
+// executes; the coordinator and offline status resume against the archive
+// key of the same config.
+func farmCellConfig(spec lab.FarmSpec, cell lab.Cell) bulletprime.RunConfig {
+	return bulletprime.RunConfig{
 		Protocol:    bulletprime.Protocol(cell.Protocol),
 		Nodes:       spec.Nodes,
 		FileBytes:   spec.FileMB * 1e6,
@@ -305,8 +304,29 @@ func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Arch
 		Seed:        cell.Seed,
 		Deadline:    spec.Deadline,
 		SampleEvery: -1,
-		Archive:     arch,
+	}
+}
+
+// resumeFarm marks done every cell whose run the archive already holds:
+// a record counts only under the exact key farmCellConfig's run records.
+// A cell the runner rejects has no key and stays pending, so a worker
+// settles it as failed.
+func resumeFarm(farm *lab.Farm, arch *bulletprime.Archive) (int, error) {
+	spec := farm.Spec()
+	return farm.ResumeFromArchive(arch, func(c lab.Cell) ([]byte, string, bool) {
+		config, scenario, err := bulletprime.ArchiveKey(farmCellConfig(spec, c))
+		return config, scenario, err == nil
 	})
+}
+
+// runFarmCell executes one leased cell: session run, archive record,
+// lease settle, with a background renewer keeping the lease alive for
+// the duration. Returns true when the cell completed under this lease.
+func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Archive,
+	spec lab.FarmSpec, cell lab.Cell, lease string, ttl time.Duration, name string, stderr io.Writer) bool {
+	cfg := farmCellConfig(spec, cell)
+	cfg.Archive = arch
+	exp, err := bulletprime.New(cfg)
 	if err != nil {
 		// The runner rejects this configuration deterministically; every
 		// reissue would too, so settle it as failed rather than letting
@@ -419,7 +439,7 @@ func farmStatus(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
-	if _, err := farm.ResumeFromArchive(arch); err != nil {
+	if _, err := resumeFarm(farm, arch); err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"bulletprime"
 	"bulletprime/internal/lab"
 )
 
@@ -209,6 +211,51 @@ func TestFarmStatusOffline(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "cells 2: 0 done, 2 pending") {
 		t.Fatalf("offline status output:\n%s", out.String())
+	}
+}
+
+// TestFarmResumeMatchesCellConfig pins that resume counts a record only
+// under the cell's own run config. An 8-node, 1 MB DynamicBandwidth run at
+// seed 1 shares a 4 MB static cell's protocol, network, seed, and node
+// count, yet must not mark it done; the cell's own run must.
+func TestFarmResumeMatchesCellConfig(t *testing.T) {
+	arch, err := bulletprime.OpenArchive(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := lab.FarmSpec{Nodes: 8, FileMB: 4, Protocols: []string{"bulletprime"},
+		Networks: []string{"modelnet"}, Seeds: []int64{1}, Deadline: 3600}
+	resumed := func() int {
+		t.Helper()
+		farm, err := lab.NewFarm(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := resumeFarm(farm, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	run := func(cfg bulletprime.RunConfig) {
+		t.Helper()
+		cfg.Archive = arch
+		exp, err := bulletprime.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exp.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run(bulletprime.RunConfig{Nodes: 8, FileBytes: 1e6, DynamicBandwidth: true, Seed: 1})
+	if n := resumed(); n != 0 {
+		t.Fatalf("resumed %d cell(s) from an unrelated record, want 0", n)
+	}
+	run(farmCellConfig(spec, spec.Cells()[0]))
+	if n := resumed(); n != 1 {
+		t.Fatalf("resumed %d cell(s) after running the cell, want 1", n)
 	}
 }
 

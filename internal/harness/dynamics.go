@@ -3,7 +3,6 @@ package harness
 import (
 	"bulletprime/internal/netem"
 	"bulletprime/internal/scenario"
-	"bulletprime/internal/sim"
 )
 
 // DegradationFloor bounds cumulative bandwidth halving at 1/64 of a link's
@@ -22,16 +21,11 @@ const DegradationFloor = 1.0 / 64
 // touching the reverse direction. Changes are cumulative (an unlucky pair
 // sits at 25% of original bandwidth after two rounds), bounded below by
 // DegradationFloor. It draws from the master RNG's "dynamics" stream,
-// exactly like the closure it replaced, so runs are bit-identical.
+// exactly like the closure it replaced, so runs are bit-identical. The
+// façade's RunConfig.DynamicBandwidth lowers to this program's event.
 func SyntheticScenario(period float64) *scenario.Scenario {
 	return scenario.New("synthetic-bandwidth-changes",
 		scenario.Degrade(period, 0.5, 0.5, 0.5, DegradationFloor))
-}
-
-// SyntheticBandwidthChanges schedules the §4.1 bandwidth-change process on
-// a rig (see SyntheticScenario for the process itself).
-func SyntheticBandwidthChanges(period float64) func(*Rig) {
-	return ScenarioDynamics(SyntheticScenario(period))
 }
 
 // CascadeScenario is the Figure 12 schedule as a scenario program: every
@@ -45,21 +39,4 @@ func CascadeScenario(interval float64) *scenario.Scenario {
 			scenario.LinkSet{Pairs: [][2]int{{k, 7}}}, netem.Kbps(100)))
 	}
 	return s
-}
-
-// CascadeDynamics schedules the Figure 12 cascade on a rig (see
-// CascadeScenario).
-func CascadeDynamics(interval float64) func(*Rig) {
-	return ScenarioDynamics(CascadeScenario(interval))
-}
-
-// At schedules an arbitrary topology mutation at an absolute time, for
-// custom experiments beyond the declarative scenario vocabulary.
-func At(t sim.Time, mut func(*netem.Topology)) func(*Rig) {
-	return func(r *Rig) {
-		r.Eng.Schedule(t, func() {
-			mut(r.Net.Topo)
-			r.Net.BandwidthChanged()
-		})
-	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
+	"bulletprime/internal/scenario"
 	"bulletprime/internal/shotgun"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/trace"
@@ -59,7 +60,7 @@ func Figure5(sc Scale, seed int64) *trace.Figure {
 	n := sc.nodes(paperNodes)
 	w := Workload{FileBytes: sc.file(paperFileMB * 1e6), BlockSize: paperBlock}
 	topo := ModelNetTopology(n)
-	dyn := SyntheticBandwidthChanges(20)
+	dyn := mustCompile(SyntheticScenario(20), n)
 
 	fig := &trace.Figure{
 		Title:  "Figure 5: download time CDF, dynamic bandwidth + losses",
@@ -94,9 +95,9 @@ func Figure6(sc Scale, seed int64) *trace.Figure {
 }
 
 // peerSetSeries runs Bullet' with static peer-set sizes and the dynamic
-// sizing policy on the given topology/dynamics.
+// sizing policy on the given topology and dynamics scenario (may be nil).
 func peerSetSeries(sc Scale, seed int64, topo func(*sim.RNG) *netem.Topology,
-	dyn func(*Rig), fileBytes float64, sizes []int) []trace.Series {
+	dyn *scenario.Program, fileBytes float64, sizes []int) []trace.Series {
 
 	ddl := defaultDDL
 	if dyn != nil {
@@ -130,12 +131,13 @@ func Figure7(sc Scale, seed int64) *trace.Figure {
 
 // Figure8 repeats Figure 7 under synthetic bandwidth changes.
 func Figure8(sc Scale, seed int64) *trace.Figure {
+	n := sc.nodes(paperNodes)
 	return &trace.Figure{
 		Title:  "Figure 8: peer set size, dynamic bandwidth + losses",
 		XLabel: "download time (s)",
 		YLabel: "fraction of nodes",
-		Series: peerSetSeries(sc, seed, ModelNetTopology(sc.nodes(paperNodes)),
-			SyntheticBandwidthChanges(20), sc.file(paperFileMB*1e6), []int{6, 10, 14}),
+		Series: peerSetSeries(sc, seed, ModelNetTopology(n),
+			mustCompile(SyntheticScenario(20), n), sc.file(paperFileMB*1e6), []int{6, 10, 14}),
 	}
 }
 
@@ -152,9 +154,10 @@ func Figure9(sc Scale, seed int64) *trace.Figure {
 }
 
 // outstandingSeries sweeps fixed per-peer outstanding-request limits plus
-// the dynamic controller on the given topology.
+// the dynamic controller on the given topology and dynamics scenario (may
+// be nil).
 func outstandingSeries(seed int64, topo func(*sim.RNG) *netem.Topology,
-	dyn func(*Rig), fileBytes float64, fixed []int, staticPeers int) []trace.Series {
+	dyn *scenario.Program, fileBytes float64, fixed []int, staticPeers int) []trace.Series {
 
 	w := Workload{FileBytes: fileBytes, BlockSize: 8 * 1024} // 8 KB blocks (§4.5)
 	mut := func(out int) func(*core.Config) {
@@ -216,7 +219,7 @@ func Figure12(sc Scale, seed int64) *trace.Figure {
 		Title:  "Figure 12: outstanding requests under cascading bandwidth drops",
 		XLabel: "download time (s)",
 		YLabel: "fraction of nodes",
-		Series: outstandingSeries(seed, CascadeTopology(), CascadeDynamics(25),
+		Series: outstandingSeries(seed, CascadeTopology(), mustCompile(CascadeScenario(25), 8),
 			fileBytes, []int{9, 15, 50}, 6),
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
+	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/stream"
 	"bulletprime/internal/trace"
@@ -231,15 +232,16 @@ func (r *RunResult) ControlOverhead() float64 {
 	return r.ControlBytes / total
 }
 
-// RunOne builds a fresh rig on topoFn's topology, applies dynamics (may be
-// nil), runs the system until all nodes finish or deadline passes.
+// RunOne builds a fresh rig on topoFn's topology, applies the compiled
+// scenario prog (may be nil), and runs the kind's system until all nodes
+// finish or deadline passes.
 func RunOne(label string, seed int64, topoFn func(*sim.RNG) *netem.Topology,
-	dynamics func(*Rig), kind ProtoKind, w Workload, coreMut func(*core.Config),
+	prog *scenario.Program, kind ProtoKind, w Workload, coreMut func(*core.Config),
 	deadline sim.Time) *RunResult {
 
 	return RunSpec(SweepSpec{
-		Label: label, Seed: seed, TopoFn: topoFn, Dynamics: dynamics,
-		Kind: kind, Workload: w, CoreMut: coreMut, Deadline: deadline,
+		Label: label, Seed: seed, TopoFn: topoFn, Scenario: prog,
+		System: kind.system(), Workload: w, CoreMut: coreMut, Deadline: deadline,
 	})
 }
 
@@ -266,12 +268,6 @@ type Hooks struct {
 	// they are called from the shard's worker goroutine.
 	OnBlock  func(node netem.NodeID, blockID, count int)
 	Annotate func(text string)
-	// OnResult fires once with the finished RunResult, just before RunSpec
-	// returns — the capture point archival layers use to persist sweep
-	// cells as they finish. Under Sweep the callback runs on the worker
-	// goroutine that owns the cell, so a hook shared across specs must be
-	// goroutine-safe. Runs that fail the spec check never reach it.
-	OnResult func(*RunResult)
 }
 
 // install hangs the block and annotation hooks on a rig and returns the
@@ -298,12 +294,12 @@ func (h *Hooks) start(rigs []*Rig, sys System) (ticks bool) {
 
 // backend is one run driver and the spec features it supports.
 type backend struct {
-	name                       string
-	scenario, stream, dynamics bool
+	name             string
+	scenario, stream bool
 }
 
 var (
-	backendSequential = backend{name: "sequential", scenario: true, stream: true, dynamics: true}
+	backendSequential = backend{name: "sequential", scenario: true, stream: true}
 	backendSharded    = backend{name: "sharded"}
 	backendTestbed    = backend{name: "testbed"}
 )
@@ -331,15 +327,13 @@ func (s SweepSpec) Check() error {
 		return fmt.Errorf("harness: testbed runs do not support the sharded engine " +
 			"(one wall clock cannot drive parallel shard clocks)")
 	case s.Scenario != nil && !b.scenario:
-		return fmt.Errorf("harness: %s runs do not support scenarios "+
+		return fmt.Errorf("harness: %s runs do not support scenarios or DynamicBandwidth "+
 			"(scenario programs drive the sequential emulated network)", b.name)
-	case s.Dynamics != nil && !b.dynamics:
-		return fmt.Errorf("harness: %s runs do not support rig dynamics (DynamicBandwidth)", b.name)
 	case s.Stream != nil && !b.stream:
 		return fmt.Errorf("harness: %s runs do not support live streaming; streams need the "+
 			"sequential engine on the emulated network (the lag tracker samples one deterministic clock)", b.name)
 	}
-	name := s.systemName()
+	name := s.System
 	e, ok := LookupSystem(name)
 	switch {
 	case !ok:
@@ -355,33 +349,47 @@ func (s SweepSpec) Check() error {
 	return nil
 }
 
-// RunSpec executes one experiment spec on its backend: the sequential
-// event loop, the sharded group (runSpecSharded), or the UDP testbed
-// (runSpecTestbed). Every sweep cell and RunOne go through here, so a
-// sweep's rigs are bit-identical to single runs. Hooks only read state, so
-// an observed run is bit-identical to an unobserved one with the same spec.
-// A spec failing Check returns at once with RunResult.Err set.
+// RunSpec executes one experiment spec: on the sharded group
+// (runSpecSharded), or on one rig (runSpecRig), emulated or over the UDP
+// testbed. Every sweep cell and RunOne go through here, so a sweep's rigs
+// are bit-identical to single runs. Hooks only read state, so an observed
+// run is bit-identical to an unobserved one with the same spec. A spec
+// failing Check returns at once with RunResult.Err set.
 func RunSpec(s SweepSpec) *RunResult {
 	if err := s.Check(); err != nil {
 		return failed(&s, err)
 	}
-	switch s.backend() {
-	case backendTestbed:
-		return runSpecTestbed(s)
-	case backendSharded:
+	if s.backend() == backendSharded {
 		return runSpecSharded(s)
 	}
-	return runSpecSequential(s)
+	return runSpecRig(s)
 }
 
-// runSpecSequential builds one rig, the optional compiled scenario
-// (timeline events plus flash-crowd wave sessions), the optional dynamics
-// hook, and the optional stream tracker, then drains the event queue with
-// a completion early-exit.
-func runSpecSequential(s SweepSpec) *RunResult {
-	deadline := s.Deadline
+// runLoop runs a built and started single-rig system until it completes,
+// the deadline passes, or stop fires; it returns true when stop ended the
+// run.
+type runLoop func(rig *Rig, sys System, deadline sim.Time, stop func() bool) bool
+
+// runSpecRig is the one single-rig run path. It builds the rig, attaches
+// the UDP transport when the spec names a testbed, installs the hooks and
+// the optional stream tracker, builds the system (with the optional
+// compiled scenario: timeline events plus flash-crowd wave sessions),
+// schedules the sampling ticks, and assembles the result. Only the run
+// loop differs between backends: the emulated event loop with its
+// completion early-exit, or the testbed's wall-clock loop.
+func runSpecRig(s SweepSpec) *RunResult {
 	rig := NewRig(s.topology(), s.Seed)
 	rig.RT.Tracer = s.Tracer
+	loop := runLoop(runUntilComplete)
+	if s.Testbed != nil {
+		wallLoop, stopTransport, err := attachTestbed(rig, s.Testbed)
+		if err != nil {
+			return failed(&s, err)
+		}
+		defer stopTransport()
+		loop = wallLoop
+	}
+	deadline := s.Deadline
 	stop := s.Hooks.install(rig)
 	if s.Stream != nil {
 		sp := s.Stream.Normalized()
@@ -405,17 +413,14 @@ func runSpecSequential(s SweepSpec) *RunResult {
 		sys = buildScenarioSystem(rig, s)
 	} else {
 		joinViewers(rig, rig.Members, 0)
-		sys = rig.BuildNamedSystem(s.systemName(), s.Workload, s.CoreMut, rig.Members, "")
-	}
-	if s.Dynamics != nil {
-		s.Dynamics(rig)
+		sys = rig.BuildNamedSystem(s.System, s.Workload, s.CoreMut, rig.Members, "")
 	}
 	rigs := []*Rig{rig}
 	if s.Hooks.start(rigs, sys) {
 		scheduleTicks(rigs, sys, s.Hooks, deadline)
 	}
 	sys.Start()
-	return finish(&s, rigs, sys, runUntilComplete(rig, sys, deadline, stop))
+	return finish(&s, rigs, sys, loop(rig, sys, deadline, stop))
 }
 
 // topology draws the spec's topology from the seed's "topo" stream.
@@ -434,7 +439,7 @@ func failed(s *SweepSpec, err error) *RunResult {
 }
 
 // finish assembles the result of a run over its rigs — shared by every
-// backend — and hands it to Hooks.OnResult. Sums run in rig order and each
+// backend. Sums run in rig order and each
 // rig's completions enter the CDF in node order, so a result is a pure
 // function of the run; over one rig every sum is that rig's own value.
 func finish(s *SweepSpec, rigs []*Rig, sys System, stopped bool) *RunResult {
@@ -463,9 +468,6 @@ func finish(s *SweepSpec, rigs []*Rig, sys System, stopped bool) *RunResult {
 	// Only sequential runs stream, and they have a single rig.
 	if st := rigs[0].Stream; st != nil {
 		res.Stream = st.Report(float64(res.EndedAt))
-	}
-	if s.Hooks != nil && s.Hooks.OnResult != nil {
-		s.Hooks.OnResult(res)
 	}
 	return res
 }

@@ -61,23 +61,28 @@ func (e *rigEnv) Annotate(text string) {
 	}
 }
 
-// ScenarioDynamics compiles a scenario and returns it in the harness's
-// dynamics-hook shape, so declarative scenarios slot anywhere a hardcoded
-// schedule used to (RunOne, figure generators, benchmarks). The scenario
-// must not contain flash-crowd waves — those need session construction and
-// only run through SweepSpec.Scenario / RunSpec. Compilation errors panic:
-// a builder-made scenario that fails to compile is a programming error.
-func ScenarioDynamics(s *scenario.Scenario) func(*Rig) {
-	return func(r *Rig) {
-		prog, err := s.Compile(len(r.Members))
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-		if prog.Waves() != nil {
-			panic("harness: flash-crowd scenarios must run via SweepSpec.Scenario, not the dynamics hook")
-		}
-		prog.Apply(&rigEnv{rig: r})
+// ApplyScenario compiles a scenario for the rig's members and schedules its
+// timeline on a bare rig — one built with NewRig and driven by hand, as the
+// scenario benchmarks and tests do; RunSpec applies SweepSpec.Scenario
+// itself. It panics on a scenario that does not compile or that contains
+// flash-crowd waves, which need session construction and only run through
+// SweepSpec.Scenario.
+func ApplyScenario(r *Rig, s *scenario.Scenario) {
+	prog := mustCompile(s, len(r.Members))
+	if prog.Waves() != nil {
+		panic("harness: flash-crowd scenarios must run via SweepSpec.Scenario, not on a bare rig")
 	}
+	prog.Apply(&rigEnv{rig: r})
+}
+
+// mustCompile compiles a builder-made scenario for an n-node overlay; one
+// that fails to compile is a programming error.
+func mustCompile(s *scenario.Scenario, n int) *scenario.Program {
+	prog, err := s.Compile(n)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	return prog
 }
 
 // buildScenarioSystem wires a compiled scenario onto a fresh rig: the event
@@ -92,7 +97,7 @@ func buildScenarioSystem(rig *Rig, s SweepSpec) System {
 	cohorts := prog.ResolveWaves(rig.Master.Stream("scenario/waves"))
 	var sys System
 	env := &rigEnv{rig: rig}
-	name := s.systemName()
+	name := s.System
 	if cohorts == nil {
 		joinViewers(rig, rig.Members, 0)
 		sys = rig.BuildNamedSystem(name, s.Workload, s.CoreMut, rig.Members, "")

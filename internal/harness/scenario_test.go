@@ -84,17 +84,29 @@ func requireIdenticalRuns(t *testing.T, a, b *RunResult) {
 	}
 }
 
+// runLegacy drives a legacy dynamics closure on a hand-built rig, in the
+// order the retired dynamics hook ran it: system built, closure applied,
+// system started, event loop drained with the completion early-exit.
+func runLegacy(seed int64, topoFn func(*sim.RNG) *netem.Topology, dyn func(*Rig),
+	w Workload, deadline sim.Time) *RunResult {
+	rig := NewRig(topoFn(sim.NewRNG(seed).Stream("topo")), seed)
+	sys := rig.BuildSystem(KindBulletPrime, w, nil)
+	dyn(rig)
+	sys.Start()
+	return finish(&SweepSpec{Label: "legacy"}, []*Rig{rig}, sys,
+		runUntilComplete(rig, sys, deadline, nil))
+}
+
 // TestScenarioMatchesLegacySynthetic is the scenario engine's equivalence
 // contract: the §4.1 process expressed as a scenario program must reproduce
 // the hardcoded closure bit-for-bit — same seed, identical per-node
 // completion CDF and byte accounting.
 func TestScenarioMatchesLegacySynthetic(t *testing.T) {
 	w := Workload{FileBytes: 1.5e6, BlockSize: 16 * 1024}
+	prog := mustCompile(SyntheticScenario(5), 12)
 	for _, seed := range []int64{3, 11} {
-		legacy := RunOne("legacy", seed, ModelNetTopology(12),
-			legacySyntheticBandwidthChanges(5), KindBulletPrime, w, nil, 3600)
-		scen := RunOne("scenario", seed, ModelNetTopology(12),
-			SyntheticBandwidthChanges(5), KindBulletPrime, w, nil, 3600)
+		legacy := runLegacy(seed, ModelNetTopology(12), legacySyntheticBandwidthChanges(5), w, 3600)
+		scen := RunOne("scenario", seed, ModelNetTopology(12), prog, KindBulletPrime, w, nil, 3600)
 		requireIdenticalRuns(t, legacy, scen)
 		if len(legacy.PerNode) == 0 {
 			t.Fatalf("seed %d: no completions to compare", seed)
@@ -106,9 +118,8 @@ func TestScenarioMatchesLegacySynthetic(t *testing.T) {
 // way on its dedicated 8-node topology.
 func TestScenarioMatchesLegacyCascade(t *testing.T) {
 	w := Workload{FileBytes: 2e6, BlockSize: 16 * 1024}
-	legacy := RunOne("legacy", 23, CascadeTopology(), legacyCascadeDynamics(15),
-		KindBulletPrime, w, nil, 7200)
-	scen := RunOne("scenario", 23, CascadeTopology(), CascadeDynamics(15),
+	legacy := runLegacy(23, CascadeTopology(), legacyCascadeDynamics(15), w, 7200)
+	scen := RunOne("scenario", 23, CascadeTopology(), mustCompile(CascadeScenario(15), 8),
 		KindBulletPrime, w, nil, 7200)
 	requireIdenticalRuns(t, legacy, scen)
 }
@@ -131,7 +142,7 @@ func TestRunSpecScenarioDeterministic(t *testing.T) {
 	}
 	spec := SweepSpec{
 		Label: "mixed", Seed: 5, TopoFn: ModelNetTopology(14),
-		Kind: KindBulletPrime, Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
+		System: KindBulletPrime.system(), Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
 		Deadline: 900, Scenario: prog,
 	}
 	a := RunSpec(spec)
@@ -169,7 +180,7 @@ func TestWaveSystemStaggersSessions(t *testing.T) {
 	}
 	res := RunSpec(SweepSpec{
 		Label: "crowd", Seed: 9, TopoFn: LosslessModelNetTopology(12),
-		Kind: KindBulletPrime, Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
+		System: KindBulletPrime.system(), Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
 		Deadline: 1200, Scenario: prog,
 	})
 	if !res.Finished {
@@ -194,8 +205,8 @@ func TestScenarioChurnKillsDownloads(t *testing.T) {
 	w := Workload{FileBytes: 1e6, BlockSize: 16 * 1024}
 	calm := RunOne("calm", 4, ModelNetTopology(12), nil, KindBulletPrime, w, nil, 900)
 	churny := RunOne("churn", 4, ModelNetTopology(12),
-		ScenarioDynamics(scenario.New("churn",
-			scenario.Churn(1, 0.4, scenario.Dist{Kind: "exp", Mean: 5}))),
+		mustCompile(scenario.New("churn",
+			scenario.Churn(1, 0.4, scenario.Dist{Kind: "exp", Mean: 5})), 12),
 		KindBulletPrime, w, nil, 900)
 	if churny.Finished {
 		t.Fatal("run finished despite 40% of members crashing")
@@ -206,7 +217,7 @@ func TestScenarioChurnKillsDownloads(t *testing.T) {
 }
 
 // TestScenarioDynamicsRejectsWaves pins the guard: flash-crowd scenarios
-// need session construction and cannot ride the plain dynamics hook.
+// need session construction and cannot be applied to a bare rig.
 func TestScenarioDynamicsRejectsWaves(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -215,6 +226,6 @@ func TestScenarioDynamicsRejectsWaves(t *testing.T) {
 	}()
 	topo := ModelNetTopology(8)(sim.NewRNG(1).Stream("topo"))
 	rig := NewRig(topo, 1)
-	ScenarioDynamics(scenario.New("w",
-		scenario.FlashCrowd(scenario.Wave{At: 0, Frac: 1})))(rig)
+	ApplyScenario(rig, scenario.New("w",
+		scenario.FlashCrowd(scenario.Wave{At: 0, Frac: 1})))
 }

@@ -77,8 +77,9 @@ func TestShapeDynamicOutstandingHandlesCascade(t *testing.T) {
 			c.StaticPeers = 6
 		}
 	}
-	dyn := RunOne("dyn", 23, CascadeTopology(), CascadeDynamics(15), KindBulletPrime, w, mut(0), 7200)
-	big := RunOne("50", 23, CascadeTopology(), CascadeDynamics(15), KindBulletPrime, w, mut(50), 7200)
+	cascade := mustCompile(CascadeScenario(15), 8)
+	dyn := RunOne("dyn", 23, CascadeTopology(), cascade, KindBulletPrime, w, mut(0), 7200)
+	big := RunOne("50", 23, CascadeTopology(), cascade, KindBulletPrime, w, mut(50), 7200)
 	if !dyn.Finished {
 		t.Fatal("dynamic run did not finish")
 	}

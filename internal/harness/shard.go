@@ -176,7 +176,7 @@ func runSpecSharded(s SweepSpec) *RunResult {
 			slot.RT.Tracer = shardTracers[k]
 		}
 	}
-	e, _ := LookupSystem(s.systemName())
+	e, _ := LookupSystem(s.System)
 	sys := e.BuildSharded(rig, s.Workload)
 	ticks := s.Hooks.start(rig.Slots, sys)
 	sys.Start()

@@ -15,20 +15,23 @@ import (
 // is tracked as a viewer playing the stream behind the live edge
 // (stream.Tracker). The run ends when every viewer holds the full stream or
 // the drain window after the last emission expires, whichever comes first —
-// not at SweepSpec.Deadline, which stays a hard upper bound.
+// not at SweepSpec.Deadline, which stays a hard upper bound. The façade
+// exposes it as bulletprime.StreamOptions.
 type StreamSpec struct {
 	// BitrateBps is the source emission rate in bytes per second.
 	BitrateBps float64
 	// Duration is how long the source emits, in virtual seconds.
 	Duration float64
-	// PlayoutDepth is the viewer buffer depth in seconds of content;
-	// <= 0 picks DefaultPlayoutDepth.
+	// PlayoutDepth is the viewer buffer depth in seconds of content a
+	// viewer must accumulate before (re)starting playback; 0 picks
+	// DefaultPlayoutDepth.
 	PlayoutDepth float64
-	// Warmup excludes the startup transient from steady-state goodput;
-	// < 0 picks min(Duration/4, DefaultWarmupCap). 0 means no warmup.
+	// Warmup excludes the startup transient from steady-state goodput:
+	// 0 picks min(Duration/4, DefaultWarmupCap), negative disables the
+	// warmup window.
 	Warmup float64
 	// Drain is how long the run may continue past the last block's emission
-	// so trailing viewers catch up; <= 0 picks DefaultDrain.
+	// so trailing viewers catch up; 0 picks DefaultDrain.
 	Drain float64
 }
 
@@ -52,11 +55,11 @@ func (sp StreamSpec) Normalized() StreamSpec {
 	if sp.PlayoutDepth <= 0 {
 		sp.PlayoutDepth = DefaultPlayoutDepth
 	}
-	if sp.Warmup < 0 {
-		sp.Warmup = sp.Duration / 4
-		if sp.Warmup > DefaultWarmupCap {
-			sp.Warmup = DefaultWarmupCap
-		}
+	switch {
+	case sp.Warmup == 0:
+		sp.Warmup = min(sp.Duration/4, DefaultWarmupCap)
+	case sp.Warmup < 0:
+		sp.Warmup = -1 // canonical "disabled", so re-normalizing keeps it
 	}
 	if sp.Drain <= 0 {
 		sp.Drain = DefaultDrain
@@ -71,7 +74,7 @@ func (sp StreamSpec) config(blockSize float64) stream.Config {
 		BlockSize:    blockSize,
 		Duration:     sp.Duration,
 		PlayoutDepth: sp.PlayoutDepth,
-		Warmup:       sp.Warmup,
+		Warmup:       max(sp.Warmup, 0), // disabled (-1): steady from join
 	}
 }
 

@@ -17,19 +17,16 @@ import (
 // takes, bundled so a seeds × protocols × presets cross product can be built
 // up front and fanned across workers.
 type SweepSpec struct {
-	Label    string
-	Seed     int64
-	TopoFn   func(*sim.RNG) *netem.Topology
-	Dynamics func(*Rig)
-	Kind     ProtoKind
+	Label  string
+	Seed   int64
+	TopoFn func(*sim.RNG) *netem.Topology
+	// System names the protocol from the open registry (RegisterSystem):
+	// the façade's Protocol name, or a ProtoKind's registry name, which
+	// RunOne lowers to.
+	System   string
 	Workload Workload
 	CoreMut  func(*core.Config)
 	Deadline sim.Time
-
-	// System names a protocol from the open registry (RegisterSystem) and
-	// takes precedence over Kind; empty means Kind's registry name. The
-	// façade's protocols arrive through this field.
-	System string
 
 	// Engine selects the execution engine. EngineSequential (the zero
 	// value) runs the classic single-threaded loop; EngineSharded
@@ -52,8 +49,8 @@ type SweepSpec struct {
 	Workers int
 
 	// Scenario optionally applies a compiled scenario program — declarative
-	// link dynamics, trace replay, outages, churn, and flash-crowd waves —
-	// to the rig. A Program is immutable, so one compiled scenario fans
+	// link dynamics (the façade's DynamicBandwidth among them), trace
+	// replay, outages, churn, and flash-crowd waves — to the rig. A Program is immutable, so one compiled scenario fans
 	// across every seed of a sweep; per-seed randomness comes from each
 	// rig's master RNG, keeping every cell bit-identical to a sequential
 	// run of the same seed.
@@ -68,10 +65,10 @@ type SweepSpec struct {
 	// (SystemEntry.Stream).
 	Stream *StreamSpec
 
-	// Testbed, when non-nil, runs the spec over the real-socket UDP backend
-	// instead of the emulated network: same rig, same registered system,
-	// traffic on real sockets, wall-clock-driven virtual time. Incompatible
-	// with EngineSharded, Scenario, and Dynamics (RunResult.Err reports the
+	// Testbed, when non-nil, makes the real-socket UDP backend the rig's
+	// transport in place of the emulated network: same run path, same rig,
+	// same registered system, wall-clock-driven virtual time. Incompatible
+	// with EngineSharded, Scenario, and Stream (RunResult.Err reports the
 	// conflict). See TestbedSpec.
 	Testbed *TestbedSpec
 
@@ -89,14 +86,6 @@ type SweepSpec struct {
 	// sharded runs each shard records into a private tracer and the spans
 	// are merged deterministically into this one after the run.
 	Tracer *obs.Tracer
-}
-
-// systemName resolves the registry name this spec's sessions build under.
-func (s *SweepSpec) systemName() string {
-	if s.System != "" {
-		return s.System
-	}
-	return s.Kind.system()
 }
 
 // Sweep runs every spec across a pool of parallel workers and returns the

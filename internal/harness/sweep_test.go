@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"bulletprime/internal/sim"
@@ -16,7 +15,7 @@ func sweepTestSpecs() []SweepSpec {
 			Label:    fmt.Sprintf("seed%d", seed),
 			Seed:     seed,
 			TopoFn:   ModelNetTopology(10),
-			Kind:     KindBulletPrime,
+			System:   KindBulletPrime.system(),
 			Workload: w,
 			Deadline: sim.Time(3600),
 		})
@@ -32,7 +31,7 @@ func TestSweepMatchesSequentialRunOne(t *testing.T) {
 	specs := sweepTestSpecs()
 	par := Sweep(specs, len(specs))
 	for i, s := range specs {
-		seq := RunOne(s.Label, s.Seed, s.TopoFn, s.Dynamics, s.Kind, s.Workload, s.CoreMut, s.Deadline)
+		seq := RunOne(s.Label, s.Seed, s.TopoFn, s.Scenario, KindBulletPrime, s.Workload, s.CoreMut, s.Deadline)
 		got := par[i]
 		if got == nil {
 			t.Fatalf("spec %d: nil result", i)
@@ -98,34 +97,5 @@ func TestClusteredTopologyShape(t *testing.T) {
 	}
 	if topo.CoreLoss(0, 9) != 0 {
 		t.Fatal("intra-cluster links must be lossless")
-	}
-}
-
-// TestSweepOnResultCapturesCells pins the archival capture point: a shared
-// goroutine-safe OnResult hook sees every cell's result exactly once, and
-// the captured results are the same objects Sweep returns.
-func TestSweepOnResultCapturesCells(t *testing.T) {
-	specs := sweepTestSpecs()
-	var mu sync.Mutex
-	captured := map[string]*RunResult{}
-	hooks := &Hooks{OnResult: func(r *RunResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		if _, dup := captured[r.Label]; dup {
-			t.Errorf("OnResult fired twice for %s", r.Label)
-		}
-		captured[r.Label] = r
-	}}
-	for i := range specs {
-		specs[i].Hooks = hooks
-	}
-	results := Sweep(specs, 2)
-	if len(captured) != len(specs) {
-		t.Fatalf("captured %d cells, want %d", len(captured), len(specs))
-	}
-	for i, s := range specs {
-		if captured[s.Label] != results[i] {
-			t.Fatalf("cell %d: captured result is not the returned result", i)
-		}
 	}
 }

@@ -13,7 +13,7 @@ func testbedSpec(kind ProtoKind, seed int64) SweepSpec {
 		Label:    "testbed/" + kind.String(),
 		Seed:     seed,
 		TopoFn:   LosslessModelNetTopology(8),
-		Kind:     kind,
+		System:   kind.system(),
 		Workload: Workload{FileBytes: 128 * 1024, BlockSize: 16 * 1024},
 		Deadline: 1800,
 		Testbed:  &TestbedSpec{Rate: 50},
@@ -95,7 +95,6 @@ func TestTestbedRejectsEmulatorOnlyFeatures(t *testing.T) {
 	}{
 		{"sharded", func(s *SweepSpec) { s.Engine = EngineSharded }},
 		{"scenario", func(s *SweepSpec) { s.Scenario = &scenario.Program{} }},
-		{"dynamics", func(s *SweepSpec) { s.Dynamics = func(*Rig) {} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -105,7 +105,7 @@ func HighBDPTopology(n int, lossLo, lossHi float64) func(*sim.RNG) *netem.Topolo
 // CascadeTopology is the Figure 12 environment: a source plus 6 peers on
 // fast links (10 Mbps, 1 ms), and an 8th node reachable only over
 // dedicated 5 Mbps, 100 ms links from the 6 peers; those links degrade
-// over time via CascadeDynamics. Node 0 is the source, nodes 1..6 the
+// over time via CascadeScenario. Node 0 is the source, nodes 1..6 the
 // peers, node 7 the constrained 8th node.
 func CascadeTopology() func(*sim.RNG) *netem.Topology {
 	return func(rng *sim.RNG) *netem.Topology {

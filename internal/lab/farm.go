@@ -179,35 +179,42 @@ func NewFarm(spec FarmSpec, ttl time.Duration) (*Farm, error) {
 // Spec returns the farm's sweep spec.
 func (f *Farm) Spec() FarmSpec { return f.spec }
 
-// ResumeFromArchive marks every cell already present in the archive as
-// done, keyed by (protocol, network, seed, nodes) — the denormalized
-// manifest columns a cell pins. Returns how many cells were skipped.
-// This is the whole resume story: re-running a coordinator over the same
-// archive re-serves only the missing cells, and even a stale worker
-// re-executing a done cell merely dedupes.
-func (f *Farm) ResumeFromArchive(a *Archive) (int, error) {
+// ResumeFromArchive marks done every cell whose run the archive already
+// holds, and returns how many it marked. key reports the archive key
+// inputs the cell's worker records — its canonical config JSON and
+// scenario digest — or ok=false for a cell no worker could record (one
+// the runner rejects). A record counts as the cell only when its Config
+// and Scenario match those exactly, whatever code version produced it;
+// matching protocol, network, seed, and size alone would accept a run of
+// another file size, deadline, dynamics, or engine. This is the whole
+// resume story: re-running a coordinator over the same archive re-serves
+// only the missing cells, and even a stale worker re-executing a done
+// cell merely dedupes.
+func (f *Farm) ResumeFromArchive(a *Archive, key func(Cell) (config []byte, scenario string, ok bool)) (int, error) {
 	metas, err := a.List()
 	if err != nil {
 		return 0, err
 	}
-	type doneKey struct {
-		protocol, network string
-		seed              int64
-	}
-	have := map[doneKey]string{}
+	// Key with an empty version: the content address minus the code
+	// version, with the config compacted as the archive's own key does.
+	have := make(map[string]string, len(metas))
 	for _, m := range metas {
-		if m.Nodes == f.spec.Nodes {
-			have[doneKey{m.Protocol, m.Network, m.Seed}] = m.ID
+		have[Key(m.Config, m.Scenario, m.Seed, "")] = m.ID
+	}
+	want := make([]string, len(f.cells))
+	for i, c := range f.cells {
+		if config, scenario, ok := key(c); ok {
+			want[i] = Key(config, scenario, c.Seed, "")
 		}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := 0
-	for i, c := range f.cells {
+	for i := range f.cells {
 		if f.slots[i].phase == cellDone {
 			continue
 		}
-		if id, ok := have[doneKey{c.Protocol, c.Network, c.Seed}]; ok {
+		if id, ok := have[want[i]]; ok {
 			f.slots[i] = cellSlot{phase: cellDone, runID: id}
 			n++
 		}

@@ -165,23 +165,31 @@ func TestFarmResumeFromArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Archive one of the four cells (bulletprime/modelnet/seed 1).
+	// The key a cell's worker records under, in compact JSON.
+	key := func(c Cell) ([]byte, string, bool) {
+		return []byte(fmt.Sprintf(`{"protocol":%q,"network":%q,"nodes":%d}`,
+			c.Protocol, c.Network, spec.Nodes)), "", true
+	}
+	// Archive one of the four cells (bulletprime/modelnet/seed 1), with
+	// indented config JSON and another code version: neither matters.
 	run := mkRun("bulletprime", "modelnet", "", 1, 10, 20, 30)
-	run.Meta.Config = []byte(`{"protocol":"bulletprime"}`)
+	run.Meta.Config = []byte(`{"protocol": "bulletprime", "network": "modelnet", "nodes": 8}`)
 	run.Meta.Nodes = spec.Nodes
+	run.Meta.Version = "v2"
 	if _, _, err := arch.Put(run); err != nil {
 		t.Fatal(err)
 	}
-	// A same-seed run at a different node count must not satisfy a cell.
+	// A run sharing a cell's protocol, network, seed, and node count but
+	// not its config (another file size) must not satisfy the cell.
 	other := mkRun("bittorrent", "modelnet", "", 1, 10, 20, 30)
-	other.Meta.Config = []byte(`{"protocol":"bittorrent","nodes":99}`)
-	other.Meta.Nodes = 99
+	other.Meta.Config = []byte(`{"protocol":"bittorrent","network":"modelnet","nodes":8,"file_bytes":4e6}`)
+	other.Meta.Nodes = spec.Nodes
 	if _, _, err := arch.Put(other); err != nil {
 		t.Fatal(err)
 	}
 
 	f, _ := farmAt(t, spec, time.Minute)
-	n, err := f.ResumeFromArchive(arch)
+	n, err := f.ResumeFromArchive(arch, key)
 	if err != nil {
 		t.Fatal(err)
 	}
