@@ -506,7 +506,7 @@ func BenchmarkScenarioTraceReplay500(b *testing.B) {
 func BenchmarkScenarioChurn500(b *testing.B) {
 	sc := scenario.New("bench-churn",
 		scenario.Churn(0, 0.5, scenario.Dist{Kind: "exp", Mean: 10}))
-	var recomputes, rates uint64
+	var recomputes, rates, rebuilt uint64
 	for i := 0; i < b.N; i++ {
 		rig := scenarioBenchRig(8)
 		// Protocol nodes with live connections, so every crash tears down
@@ -528,9 +528,11 @@ func BenchmarkScenarioChurn500(b *testing.B) {
 		rig.Eng.RunUntil(30)
 		recomputes = rig.Net.Recomputes
 		rates = rig.Net.FlowRatesRecomputed
+		rebuilt = rig.Net.PartitionFlowsRebuilt
 	}
 	b.ReportMetric(float64(recomputes), "recomputes")
 	b.ReportMetric(float64(rates), "rates_recomputed")
+	b.ReportMetric(float64(rebuilt), "partition_flows_rebuilt")
 }
 
 // BenchmarkScenarioTraceReplay5000 is the Scale5000 cost probe: the same
@@ -576,9 +578,10 @@ func BenchmarkScenarioTraceReplay5000(b *testing.B) {
 // sequential oracle.
 
 // shardedBench5000 runs the Scale5000 sharded preset once per iteration with
-// the given worker mode and reports the executed event count.
+// the given worker mode and reports the executed event count and the flows
+// re-unioned by partition updates across shards.
 func shardedBench5000(b *testing.B, workers int) {
-	var events uint64
+	var events, rebuilt uint64
 	for i := 0; i < b.N; i++ {
 		topo := harness.ClusteredTopologyCompact(5000, 25)(sim.NewRNG(7).Stream("topo"))
 		rig := harness.NewShardedRig(topo, 7, 8)
@@ -592,12 +595,14 @@ func shardedBench5000(b *testing.B, workers int) {
 		if !sys.Complete() {
 			b.Fatal("sharded preset did not complete by the 12 s horizon")
 		}
-		events = 0
+		events, rebuilt = 0, 0
 		for _, s := range rig.Slots {
 			events += s.Eng.Stats().Executed
+			rebuilt += s.Net.PartitionFlowsRebuilt
 		}
 	}
 	b.ReportMetric(float64(events), "events")
+	b.ReportMetric(float64(rebuilt), "partition_flows_rebuilt")
 }
 
 func BenchmarkShardedTraceReplay5000(b *testing.B)       { shardedBench5000(b, 0) }

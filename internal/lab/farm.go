@@ -426,6 +426,16 @@ type leaseRequest struct {
 	Error string `json:"error,omitempty"`
 }
 
+// maxFarmBody bounds every farm JSON body read, request or response, so a
+// misbehaving peer cannot make the other side read without limit.
+const maxFarmBody = 1 << 20
+
+// decodeBody decodes one JSON value from at most maxFarmBody bytes of r; a
+// longer body fails as truncated JSON.
+func decodeBody(r io.Reader, v any) error {
+	return json.NewDecoder(io.LimitReader(r, maxFarmBody)).Decode(v)
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -436,7 +446,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(v); err != nil {
+	if err := decodeBody(r.Body, v); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -524,7 +534,7 @@ func (c *FarmClient) post(path string, req, resp any) (int, error) {
 	}
 	defer r.Body.Close()
 	if r.StatusCode == http.StatusOK && resp != nil {
-		if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
+		if err := decodeBody(r.Body, resp); err != nil {
 			return 0, fmt.Errorf("lab: farm client %s: decoding response: %w", path, err)
 		}
 	}
@@ -542,7 +552,7 @@ func (c *FarmClient) Spec() (FarmSpec, error) {
 	if r.StatusCode != http.StatusOK {
 		return spec, fmt.Errorf("lab: farm client /spec: HTTP %d", r.StatusCode)
 	}
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeBody(r.Body, &spec); err != nil {
 		return spec, fmt.Errorf("lab: farm client /spec: %w", err)
 	}
 	return spec, nil
@@ -559,7 +569,7 @@ func (c *FarmClient) Status() (FarmStatus, error) {
 	if r.StatusCode != http.StatusOK {
 		return st, fmt.Errorf("lab: farm client /status: HTTP %d", r.StatusCode)
 	}
-	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+	if err := decodeBody(r.Body, &st); err != nil {
 		return st, fmt.Errorf("lab: farm client /status: %w", err)
 	}
 	return st, nil

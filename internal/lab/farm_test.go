@@ -2,7 +2,10 @@ package lab
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -235,5 +238,29 @@ func TestFarmHTTPRoundTrip(t *testing.T) {
 	// Settled leases answer 410 on late settle attempts.
 	if ok, _ := cl.Complete("w1-0-1", "late"); ok {
 		t.Fatal("settled lease must answer gone")
+	}
+}
+
+// TestFarmClientBoundsResponses pins the client's read limit: a coordinator
+// answering /spec, /status or /claim with a well-formed JSON body larger
+// than maxFarmBody makes the call fail, where an unbounded decoder would
+// read it in full and succeed.
+func TestFarmClientBoundsResponses(t *testing.T) {
+	huge := `{"failures":["` + strings.Repeat("x", 2*maxFarmBody) + `"]}`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, huge)
+	}))
+	defer srv.Close()
+	cl := &FarmClient{Base: srv.URL, Worker: "w1"}
+
+	if _, err := cl.Spec(); err == nil {
+		t.Error("Spec accepted an oversized response")
+	}
+	if _, err := cl.Status(); err == nil {
+		t.Error("Status accepted an oversized response")
+	}
+	if _, _, _, _, err := cl.Claim(); err == nil {
+		t.Error("Claim accepted an oversized response")
 	}
 }

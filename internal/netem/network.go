@@ -46,8 +46,13 @@ type Network struct {
 	// pass; flows in clean components keep their rates and completion events.
 	FullRecompute bool
 
-	rng     *sim.RNG
-	flows   map[int]*Flow
+	rng *sim.RNG
+	// flows holds every flow in id order: NewFlow appends (ids are
+	// monotone) and Close leaves a tombstone that compactFlows removes in
+	// place once tombstones are a quarter of the list, which bounds the
+	// closed flows the list keeps from the garbage collector.
+	flows   []*Flow
+	closed  int // tombstones in flows
 	nextID  int
 	dirty   bool
 	lastRun sim.Time
@@ -59,17 +64,21 @@ type Network struct {
 	busyOut []int32
 	busyIn  []int32
 
-	// Incremental state: the cached flow↔resource sharing graph (partition
-	// into connected components) and the resource keys dirtied since the
-	// last recomputation. A key is one side of a node's access link; core
-	// links dirty the access endpoints of their flows, which places every
-	// affected flow in a dirty component.
-	part           *partition
-	partitionStale bool
-	dirtyOut       map[NodeID]struct{}
-	dirtyIn        map[NodeID]struct{}
-	dirtyAll       bool
-	dirtyMark      []bool // per-component scratch, reused across recomputations
+	// Incremental state: the maintained flow↔resource sharing graph
+	// (partition into connected components) and the resource keys dirtied
+	// since the last recomputation. A key is one side of a node's access
+	// link; core links dirty the access endpoints of their flows, which
+	// places every affected flow in a dirty component. Each dirty endpoint
+	// is listed once, guarded by its per-node mark. The marks and the
+	// partition's per-node indexes are allocated on first use (see
+	// allocIndexes), so building a network that never churns costs nothing
+	// per node beyond the busy counters.
+	part     partition
+	dirtyOut []NodeID
+	dirtyIn  []NodeID
+	outMark  []bool
+	inMark   []bool
+	dirtyAll bool
 
 	// Waterfiller scratch, reused across recomputations so the steady
 	// state allocates nothing (see fairShare).
@@ -93,6 +102,10 @@ type Network struct {
 	// quantify how much work incremental recomputation avoids.
 	FlowRatesRecomputed uint64
 	FlowRatesSkipped    uint64
+	// PartitionFlowsRebuilt counts flows re-unioned by partition updates:
+	// the flows of every component a churned flow touched, plus the newly
+	// active flows. It grows with churn, not with the active-flow count.
+	PartitionFlowsRebuilt uint64
 	// BytesServed is the total payload bytes fully serialized by all flows.
 	BytesServed float64
 }
@@ -105,12 +118,8 @@ func New(eng *sim.Engine, topo *Topology, rng *sim.RNG) *Network {
 		Topo:              topo,
 		RecomputeInterval: DefaultRecomputeInterval,
 		rng:               rng,
-		flows:             make(map[int]*Flow),
 		busyOut:           make([]int32, topo.N),
 		busyIn:            make([]int32, topo.N),
-		partitionStale:    true,
-		dirtyOut:          make(map[NodeID]struct{}),
-		dirtyIn:           make(map[NodeID]struct{}),
 		fsResIdx:          make(map[int]int),
 		fsPairCount:       make(map[int]int),
 	}
@@ -139,16 +148,23 @@ type Completer interface {
 // transport layer queues messages and starts the next transfer from the done
 // callback.
 type Flow struct {
-	net  *Network
-	id   int
-	src  NodeID
-	dst  NodeID
-	open bool
+	net *Network
+	id  int
+	src NodeID
+	dst NodeID
 
 	established sim.Time // connection birth, drives the slow-start ramp
-	ssBinding   bool     // slow-start cap was binding at last recompute
 
-	busy       bool
+	// The flags share one word, which keeps the struct in the 144-byte
+	// allocation size class.
+	open      bool
+	ssBinding bool // slow-start cap was binding at last recompute
+	busy      bool
+	inPart    bool // member of a component of the network's partition
+	pending   bool // churned since the last partition update
+
+	partNext *Flow // next member of its component, in id order
+
 	remaining  float64
 	rate       float64
 	lastUpdate sim.Time
@@ -180,7 +196,7 @@ func (n *Network) NewFlow(src, dst NodeID) *Flow {
 		open:        true,
 		established: n.Eng.Now(),
 	}
-	n.flows[f.id] = f
+	n.flows = append(n.flows, f)
 	return f
 }
 
@@ -195,6 +211,9 @@ func (f *Flow) Busy() bool { return f.busy }
 
 // Rate returns the currently allocated service rate in bytes/second.
 func (f *Flow) Rate() float64 { return f.rate }
+
+// active reports whether the flow takes part in fair sharing.
+func (f *Flow) active() bool { return f.open && f.busy }
 
 // setBusy flips the busy flag and maintains the per-endpoint busy counters.
 func (f *Flow) setBusy(b bool) {
@@ -224,8 +243,25 @@ func (f *Flow) Close() {
 	f.doneArg = nil
 	f.completion.Cancel()
 	f.completion = sim.EventRef{}
-	delete(f.net.flows, f.id)
-	f.net.flowChurn(f)
+	n := f.net
+	n.closed++
+	if 4*n.closed > len(n.flows) {
+		n.compactFlows()
+	}
+	n.flowChurn(f)
+}
+
+// compactFlows drops closed flows from the id-ordered flow list in place.
+func (n *Network) compactFlows() {
+	kept := n.flows[:0]
+	for _, f := range n.flows {
+		if f.open {
+			kept = append(kept, f)
+		}
+	}
+	clear(n.flows[len(kept):])
+	n.flows = kept
+	n.closed = 0
 }
 
 // Start begins serializing a segment of the given size; done fires when the
@@ -408,14 +444,55 @@ func (n *Network) markDirty() {
 // touch marks the flow's access-link endpoints dirty: the next recomputation
 // re-waterfills every component reachable from them.
 func (n *Network) touch(f *Flow) {
-	n.dirtyOut[f.src] = struct{}{}
-	n.dirtyIn[f.dst] = struct{}{}
+	n.dirtySrc(f.src)
+	n.dirtyDst(f.dst)
+}
+
+// dirtySrc marks node's outbound access side dirty.
+func (n *Network) dirtySrc(node NodeID) {
+	if !n.outMark[node] {
+		n.outMark[node] = true
+		n.dirtyOut = append(n.dirtyOut, node)
+	}
+}
+
+// dirtyDst marks node's inbound access side dirty.
+func (n *Network) dirtyDst(node NodeID) {
+	if !n.inMark[node] {
+		n.inMark[node] = true
+		n.dirtyIn = append(n.dirtyIn, node)
+	}
+}
+
+// allocIndexes allocates the per-node dirty marks and partition indexes
+// unless they exist. Flow churn and link reports call it before dirtying an
+// endpoint; every other dirtying involves a flow that has churned.
+func (n *Network) allocIndexes() {
+	if n.outMark == nil {
+		n.outMark = make([]bool, n.Topo.N)
+		n.inMark = make([]bool, n.Topo.N)
+		n.part.index(n.Topo.N)
+	}
+}
+
+// clearDirty empties the dirty endpoint sets in O(listed endpoints).
+func (n *Network) clearDirty() {
+	for _, node := range n.dirtyOut {
+		n.outMark[node] = false
+	}
+	for _, node := range n.dirtyIn {
+		n.inMark[node] = false
+	}
+	n.dirtyOut = n.dirtyOut[:0]
+	n.dirtyIn = n.dirtyIn[:0]
 }
 
 // flowChurn records that f started, completed, or closed: the active-flow
-// set changed, so the cached partition is stale and f's component is dirty.
+// set may have changed, so f is queued for the next partition update, and
+// its component is dirty.
 func (n *Network) flowChurn(f *Flow) {
-	n.partitionStale = true
+	n.allocIndexes()
+	n.part.churn(f)
 	n.touch(f)
 	n.markDirty()
 }
@@ -432,8 +509,9 @@ func (n *Network) BandwidthChanged() {
 // either endpoint's access link) and schedules a recomputation of just the
 // components sharing capacity with that link.
 func (n *Network) LinkChanged(src, dst NodeID) {
-	n.dirtyOut[src] = struct{}{}
-	n.dirtyIn[dst] = struct{}{}
+	n.allocIndexes()
+	n.dirtySrc(src)
+	n.dirtyDst(dst)
 	n.markDirty()
 }
 
@@ -458,12 +536,13 @@ func (n *Network) LinksChanged(links []LinkRef) {
 	if len(links) == 0 {
 		return
 	}
+	n.allocIndexes()
 	for _, l := range links {
 		if l.Src >= 0 {
-			n.dirtyOut[l.Src] = struct{}{}
+			n.dirtySrc(l.Src)
 		}
 		if l.Dst >= 0 {
-			n.dirtyIn[l.Dst] = struct{}{}
+			n.dirtyDst(l.Dst)
 		}
 	}
 	n.markDirty()
@@ -478,6 +557,9 @@ func (n *Network) recompute() {
 	now := n.Eng.Now()
 	n.lastRun = now
 	n.Recomputes++
+	// The partition tracks every pass, full ones included, so an
+	// incremental pass after a full one finds it current.
+	n.PartitionFlowsRebuilt += uint64(n.part.update())
 
 	if n.FullRecompute || n.dirtyAll {
 		n.recomputeFull(now)
@@ -510,18 +592,16 @@ func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (anySS bool) {
 	return anySS
 }
 
-// activeFlows fills the reusable scratch slice with the open, busy flows
-// sorted by id. Map iteration order is randomized; sorting makes float
-// accumulation order (and therefore every downstream rate bit)
-// deterministic per seed.
+// activeFlows fills the reusable scratch slice with the open, busy flows in
+// id order, which fixes float accumulation order (and therefore every
+// downstream rate bit) per seed.
 func (n *Network) activeFlows() []*Flow {
 	active := n.fsActive[:0]
 	for _, f := range n.flows {
-		if f.open && f.busy {
+		if f.active() {
 			active = append(active, f)
 		}
 	}
-	slices.SortFunc(active, func(a, b *Flow) int { return a.id - b.id })
 	n.fsActive = active
 	return active
 }
@@ -530,8 +610,7 @@ func (n *Network) activeFlows() []*Flow {
 // and re-waterfilled, regardless of what changed.
 func (n *Network) recomputeFull(now sim.Time) {
 	n.dirtyAll = false
-	clear(n.dirtyOut)
-	clear(n.dirtyIn)
+	n.clearDirty()
 
 	active := n.activeFlows()
 	if len(active) == 0 {
@@ -542,51 +621,43 @@ func (n *Network) recomputeFull(now sim.Time) {
 	}
 }
 
-// recomputeIncremental re-waterfills only the dirty components of the cached
-// sharing graph. Flows in clean components keep their current rates and
-// completion events; max-min allocations decompose exactly over connected
-// components because no resource spans two of them.
+// recomputeIncremental re-waterfills only the dirty components of the
+// maintained sharing graph. Flows in clean components keep their current
+// rates and completion events; max-min allocations decompose exactly over
+// connected components because no resource spans two of them.
 func (n *Network) recomputeIncremental(now sim.Time) {
-	if n.partitionStale || n.part == nil {
-		n.part = n.buildPartition()
-		n.partitionStale = false
-	}
-	part := n.part
-	if cap(n.dirtyMark) < len(part.comps) {
-		n.dirtyMark = make([]bool, len(part.comps))
-	}
-	mark := n.dirtyMark[:len(part.comps)]
-	for i := range mark {
-		mark[i] = false
-	}
+	p := &n.part
 	// The reverse index makes dirty detection O(|dirty endpoints|), not
 	// O(active flows); endpoints with no active flow resolve to -1.
-	for node := range n.dirtyOut {
-		if ci := part.bySrc[node]; ci >= 0 {
-			mark[ci] = true
-		}
+	epoch := p.nextEpoch()
+	dirty := p.collected[:0]
+	for _, node := range n.dirtyOut {
+		dirty = p.collect(dirty, p.bySrc[node], epoch)
 	}
-	for node := range n.dirtyIn {
-		if ci := part.byDst[node]; ci >= 0 {
-			mark[ci] = true
-		}
+	for _, node := range n.dirtyIn {
+		dirty = p.collect(dirty, p.byDst[node], epoch)
 	}
-	clear(n.dirtyOut)
-	clear(n.dirtyIn)
+	n.clearDirty()
 
+	// Waterfill in ascending order of each component's lowest flow id, the
+	// order a from-scratch partition lists them in: completion events tie
+	// FIFO, and BytesServed accumulates across components, so the order is
+	// part of the result.
+	slices.SortFunc(dirty, func(a, b int32) int {
+		return p.comps[a].first.id - p.comps[b].first.id
+	})
 	anySS := false
 	recomputed := 0
-	for ci := range part.comps {
-		if !mark[ci] {
-			continue
-		}
-		flows := part.comps[ci].flows
+	for _, ci := range dirty {
+		flows := p.members(ci, n.fsActive[:0])
+		n.fsActive = flows
 		recomputed += len(flows)
 		if n.waterfillGroup(flows, now) {
 			anySS = true
 		}
 	}
-	n.FlowRatesSkipped += uint64(part.total - recomputed)
+	p.collected = dirty[:0]
+	n.FlowRatesSkipped += uint64(p.total - recomputed)
 	if anySS {
 		// Keep the slow-start ramp advancing even without flow churn.
 		n.markDirty()
