@@ -165,7 +165,10 @@ func fingerprint(cfg RunConfig, seriesEvery float64) (configJSON []byte, scenari
 // under: the canonical normalized-config JSON and the scenario digest
 // ("" without a scenario). With the seed (also in the config) and the
 // archive's code version they make the run's id. Farms resume by matching
-// archived records against it.
+// archived records against it. It keys the normalized series cadence —
+// 1 when SampleEvery is 0 — because that is what New(cfg).Run records; a
+// Sweep cell records no series whatever its SampleEvery, so its key is
+// ArchiveKey of its config with SampleEvery -1.
 func ArchiveKey(cfg RunConfig) (config []byte, scenarioDigest string, err error) {
 	norm, err := cfg.normalized()
 	if err != nil {

@@ -276,7 +276,7 @@ type RunConfig struct {
 	// digest, seed, and code version (identical reruns dedupe; execution
 	// knobs like Parallel are excluded from the hash). Cancelled runs are
 	// never archived. See OpenArchive and DESIGN.md §7.
-	Archive *Archive
+	Archive *Archive `json:"-"`
 
 	// Stream, when non-nil, makes the run a live stream (see StreamOptions):
 	// paced source emission, per-viewer lag/rebuffer tracking, and the
@@ -385,9 +385,8 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 }
 
 // buildSpec lowers a normalized RunConfig into a harness spec and vets it
-// with harness.SweepSpec.Check before building the topology generator (a
-// network builder may panic on a node count its preset cannot shape). On a
-// Check failure the returned spec lacks only TopoFn. Every session and
+// with harness.SweepSpec.Check before building the topology generator. On
+// a Check failure the returned spec lacks only TopoFn. Every session and
 // sweep cell shares it, so a sweep's rigs are bit-identical to single runs.
 func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 	spec := harness.SweepSpec{
@@ -418,12 +417,28 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 	if err := spec.Check(); err != nil {
 		return spec, err
 	}
-	netBuild, _ := lookupNetwork(cfg.Network)
-	spec.TopoFn = netBuild(cfg.Nodes)
+	topo, err := topology(cfg)
+	if err != nil {
+		return spec, err
+	}
+	spec.TopoFn = topo
 	if cfg.Trace != nil {
 		spec.Tracer = obs.NewTracer(cfg.Trace.Capacity)
 	}
 	return spec, nil
+}
+
+// topology resolves cfg's network builder at its node count. A builder may
+// panic on a node count its preset cannot shape (the clustered presets need
+// whole clusters); that is a config error, returned, never a crash.
+func topology(cfg RunConfig) (fn TopologyFn, err error) {
+	build, _ := lookupNetwork(cfg.Network)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("bulletprime: network %q cannot shape %d nodes: %v", cfg.Network, cfg.Nodes, r)
+		}
+	}()
+	return build(cfg.Nodes), nil
 }
 
 // runScenario is the one scenario a config runs: the user's Scenario, with

@@ -91,6 +91,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := bulletprime.Run(bulletprime.RunConfig{Nodes: 10, FileBytes: 1e6, Network: "fddi"}); err == nil {
 		t.Fatal("accepted unknown network")
 	}
+	// The clustered presets need whole 25-node clusters; their builder's
+	// refusal is an error from New, not a panic.
+	if _, err := bulletprime.New(bulletprime.RunConfig{Nodes: 30, FileBytes: 1e6, Network: bulletprime.NetworkClustered}); err == nil {
+		t.Fatal("accepted 30 nodes on the clustered preset")
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

@@ -1,10 +1,12 @@
 package main
 
 // The farm subcommand: distributed coordinator/worker sweeps over a
-// shared experiment archive. `farm coordinate` expands a sweep spec into
-// cells and serves them over the lab claim protocol; any number of
-// `farm work` processes (same machine or not) claim cells, execute them
-// with the ordinary session runner, and record into the shared archive.
+// shared experiment archive. `farm coordinate` takes the sweep spec from
+// the same flags as `sweep`, expands it with the same function, and
+// leases its cells over the lab claim protocol; any number of `farm work`
+// processes (same machine or not) fetch the spec, expand it identically,
+// execute the cells they claim with the ordinary session runner, and
+// record into the shared archive.
 // Content-hash dedupe makes every retry idempotent, so killing a worker
 // mid-cell and re-running the farm converges on exactly one archive
 // record per cell. `farm status` reports progress from a live
@@ -13,15 +15,17 @@ package main
 // that already holds some of the cells. See DESIGN.md §13.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"bulletprime"
@@ -46,42 +50,50 @@ func runFarm(args []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
-// farmSpecFlags registers the sweep-geometry flags and returns a closure
-// assembling the FarmSpec after parsing.
-func farmSpecFlags(fs *flag.FlagSet) func() lab.FarmSpec {
-	var (
-		nodes     = fs.Int("nodes", 8, "overlay size including the source")
-		fileMB    = fs.Float64("filemb", 1, "file size in MB")
-		protocols = fs.String("protocols", "bulletprime", "comma-separated protocols (any registered)")
-		networks  = fs.String("networks", "modelnet", "comma-separated network presets (any registered)")
-		seeds     = fs.Int("seeds", 2, "number of base seeds (1..n)")
-		reps      = fs.Int("reps", 1, "repetitions per cell with derived seeds")
-		deadline  = fs.Float64("deadline", 3600, "virtual-time deadline in seconds for every cell")
-	)
-	return func() lab.FarmSpec {
-		spec := lab.FarmSpec{
-			Nodes:     *nodes,
-			FileMB:    *fileMB,
-			Protocols: splitList(*protocols),
-			Networks:  splitList(*networks),
-			Reps:      *reps,
-			Deadline:  *deadline,
-		}
-		for s := int64(1); s <= int64(*seeds); s++ {
-			spec.Seeds = append(spec.Seeds, s)
-		}
-		return spec
+// farmCells decodes a farm spec — a SweepConfig as JSON — and expands it
+// with the sweep's own expansion, which validates every cell. It is the
+// one path from spec bytes to cells: the coordinator takes it on the bytes
+// it serves, and every worker on the bytes it fetched, so both see the
+// same cells. Unknown fields are refused, so a worker never silently drops
+// part of a spec written by another version.
+func farmCells(spec []byte) ([]bulletprime.SweepCell, error) {
+	dec := json.NewDecoder(bytes.NewReader(spec))
+	dec.DisallowUnknownFields()
+	var cfg bulletprime.SweepConfig
+	if err := dec.Decode(&cfg); err != nil {
+		return nil, fmt.Errorf("farm spec: %w", err)
 	}
+	return cfg.Cells()
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
+// newFarm builds the claim store for a sweep spec: the spec as served,
+// one labelled cell per sweep cell, and the cells themselves for resume.
+// A spec the sweep rejects fails here, before anything listens.
+func newFarm(cfg bulletprime.SweepConfig, ttl time.Duration) (*lab.Farm, []bulletprime.SweepCell, error) {
+	spec, err := json.Marshal(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("farm spec: %w", err)
 	}
-	return out
+	cells, err := farmCells(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	labels := make([]string, len(cells))
+	for i, c := range cells {
+		labels[i] = fmt.Sprintf("%s/%s/%d rep %d", c.Protocol, c.Network, c.Seed, c.Rep)
+	}
+	farm, err := lab.NewFarm(spec, labels, ttl)
+	return farm, cells, err
+}
+
+// resumeFarm marks done every cell whose run the archive already holds,
+// under the exact key the cell's worker records: the archive key of the
+// cell's own config.
+func resumeFarm(farm *lab.Farm, arch *bulletprime.Archive, cells []bulletprime.SweepCell) (int, error) {
+	return farm.ResumeFromArchive(arch, func(i int) ([]byte, string, int64, bool) {
+		config, scenario, err := bulletprime.ArchiveKey(cells[i].Config)
+		return config, scenario, cells[i].Config.Seed, err == nil
+	})
 }
 
 // farmCoordinate serves the claim protocol until every cell is settled.
@@ -90,7 +102,7 @@ func splitList(s string) []string {
 // over a partially-filled archive the entire resume story.
 func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("farm "+verb, flag.ContinueOnError)
-	buildSpec := farmSpecFlags(fs)
+	buildSpec := sweepFlags(fs)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:0", "address to serve the claim protocol on")
 		archDir = fs.String("archive", "", "shared experiment archive directory (required)")
@@ -109,18 +121,21 @@ func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: bulletctl farm %s -archive DIR [flags]\n", verb)
 		return 2
 	}
+	cfg, code := buildSpec(stderr)
+	if code >= 0 {
+		return code
+	}
+	farm, cells, err := newFarm(cfg, time.Duration(*ttl*float64(time.Second)))
+	if err != nil {
+		fmt.Fprintln(stderr, "bulletctl:", err)
+		return 1
+	}
 	arch, err := bulletprime.OpenArchive(*archDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
-	spec := buildSpec()
-	farm, err := lab.NewFarm(spec, time.Duration(*ttl*float64(time.Second)))
-	if err != nil {
-		fmt.Fprintln(stderr, "bulletctl:", err)
-		return 1
-	}
-	resumed, err := resumeFarm(farm, arch)
+	resumed, err := resumeFarm(farm, arch, cells)
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
@@ -152,7 +167,7 @@ func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
 	tick := time.NewTicker(200 * time.Millisecond)
 	defer tick.Stop()
 	last := lab.FarmStatus{}
-	code := 0
+	code = 0
 poll:
 	for {
 		select {
@@ -191,16 +206,8 @@ poll:
 
 	st := farm.Status()
 	renderFarmStatus(stdout, st)
-	ids := farm.RunIDs()
-	distinct := 0
-	prev := ""
-	for _, id := range ids {
-		if id != prev {
-			distinct++
-			prev = id
-		}
-	}
-	fmt.Fprintf(stdout, "distinct archived runs: %d\n", distinct)
+	// RunIDs is sorted, so compacting it leaves the distinct ids.
+	fmt.Fprintf(stdout, "distinct archived runs: %d\n", len(slices.Compact(farm.RunIDs())))
 	fmt.Fprintf(stderr, "[farm %s, %.1fs wall]\n", verb, time.Since(start).Seconds())
 	if code != 0 {
 		return code
@@ -252,6 +259,11 @@ func farmWork(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
+	cells, err := farmCells(spec)
+	if err != nil {
+		fmt.Fprintln(stderr, "bulletctl:", err)
+		return 1
+	}
 
 	ctx, stop := interruptContext()
 	defer stop()
@@ -284,55 +296,31 @@ func farmWork(args []string, stdout, stderr io.Writer) int {
 			time.Sleep(300 * time.Millisecond)
 			continue
 		}
-		fmt.Fprintf(stderr, "[%s] cell %d (%s/%s/%d rep %d) claimed\n",
-			name, cell.Index, cell.Protocol, cell.Network, cell.Seed, cell.Rep)
-		if runFarmCell(ctx, cl, arch, spec, cell, lease, ttl, name, stderr) {
+		fmt.Fprintf(stderr, "[%s] cell %d (%s) claimed\n", name, cell.Index, cell.Label)
+		if cell.Index < 0 || cell.Index >= len(cells) {
+			fmt.Fprintf(stderr, "[%s] cell %d is not in the spec's %d cells\n", name, cell.Index, len(cells))
+			_, _ = cl.Fail(lease, "cell index outside the spec")
+			continue
+		}
+		cfg := cells[cell.Index].Config
+		cfg.Archive = arch
+		if runFarmCell(ctx, cl, cfg, cell, lease, ttl, name, stderr) {
 			done++
 		}
 	}
 }
 
-// farmCellConfig is the one mapping from a farm cell to the run its worker
-// executes; the coordinator and offline status resume against the archive
-// key of the same config.
-func farmCellConfig(spec lab.FarmSpec, cell lab.Cell) bulletprime.RunConfig {
-	return bulletprime.RunConfig{
-		Protocol:    bulletprime.Protocol(cell.Protocol),
-		Nodes:       spec.Nodes,
-		FileBytes:   spec.FileMB * 1e6,
-		Network:     bulletprime.NetworkPreset(cell.Network),
-		Seed:        cell.Seed,
-		Deadline:    spec.Deadline,
-		SampleEvery: -1,
-	}
-}
-
-// resumeFarm marks done every cell whose run the archive already holds:
-// a record counts only under the exact key farmCellConfig's run records.
-// A cell the runner rejects has no key and stays pending, so a worker
-// settles it as failed.
-func resumeFarm(farm *lab.Farm, arch *bulletprime.Archive) (int, error) {
-	spec := farm.Spec()
-	return farm.ResumeFromArchive(arch, func(c lab.Cell) ([]byte, string, bool) {
-		config, scenario, err := bulletprime.ArchiveKey(farmCellConfig(spec, c))
-		return config, scenario, err == nil
-	})
-}
-
 // runFarmCell executes one leased cell: session run, archive record,
 // lease settle, with a background renewer keeping the lease alive for
 // the duration. Returns true when the cell completed under this lease.
-func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Archive,
-	spec lab.FarmSpec, cell lab.Cell, lease string, ttl time.Duration, name string, stderr io.Writer) bool {
-	cfg := farmCellConfig(spec, cell)
-	cfg.Archive = arch
+func runFarmCell(ctx context.Context, cl *lab.FarmClient, cfg bulletprime.RunConfig,
+	cell lab.Cell, lease string, ttl time.Duration, name string, stderr io.Writer) bool {
 	exp, err := bulletprime.New(cfg)
 	if err != nil {
 		// The runner rejects this configuration deterministically; every
 		// reissue would too, so settle it as failed rather than letting
 		// it bounce between workers until someone notices.
-		fmt.Fprintf(stderr, "[%s] cell %d (%s/%s/%d) rejected: %v\n",
-			name, cell.Index, cell.Protocol, cell.Network, cell.Seed, err)
+		fmt.Fprintf(stderr, "[%s] cell %d (%s) rejected: %v\n", name, cell.Index, cell.Label, err)
 		_, _ = cl.Fail(lease, err.Error())
 		return false
 	}
@@ -394,8 +382,8 @@ func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Arch
 			name, cell.Index, exp.RunID())
 		return false
 	}
-	fmt.Fprintf(stderr, "[%s] cell %d (%s/%s/%d rep %d) done: %s, median %.1fs\n",
-		name, cell.Index, cell.Protocol, cell.Network, cell.Seed, cell.Rep, exp.RunID(), res.Median())
+	fmt.Fprintf(stderr, "[%s] cell %d (%s) done: %s, median %.1fs\n",
+		name, cell.Index, cell.Label, exp.RunID(), res.Median())
 	return true
 }
 
@@ -404,7 +392,7 @@ func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Arch
 // expanding the same spec and counting which cells it already holds.
 func farmStatus(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("farm status", flag.ContinueOnError)
-	buildSpec := farmSpecFlags(fs)
+	buildSpec := sweepFlags(fs)
 	var (
 		coord   = fs.String("coordinator", "", "coordinator URL to query (live status)")
 		archDir = fs.String("archive", "", "archive directory for offline status (with the spec flags)")
@@ -430,16 +418,20 @@ func farmStatus(args []string, stdout, stderr io.Writer) int {
 		renderFarmStatus(stdout, st)
 		return 0
 	}
+	cfg, code := buildSpec(stderr)
+	if code >= 0 {
+		return code
+	}
 	arch, code := openArchiveArg(*archDir, stderr)
 	if code >= 0 {
 		return code
 	}
-	farm, err := lab.NewFarm(buildSpec(), 0)
+	farm, cells, err := newFarm(cfg, 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
-	if _, err := resumeFarm(farm, arch); err != nil {
+	if _, err := resumeFarm(farm, arch, cells); err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
@@ -451,12 +443,7 @@ func farmStatus(args []string, stdout, stderr io.Writer) int {
 func renderFarmStatus(w io.Writer, st lab.FarmStatus) {
 	fmt.Fprintf(w, "cells %d: %d done, %d pending, %d leased, %d failed (%d reissues)\n",
 		st.Total, st.Done, st.Pending, st.Leased, st.Failed, st.Reissues)
-	names := make([]string, 0, len(st.Workers))
-	for n := range st.Workers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(st.Workers)) {
 		fmt.Fprintf(w, "  worker %-20s %d cell(s)\n", n, st.Workers[n])
 	}
 	for _, f := range st.Failures {

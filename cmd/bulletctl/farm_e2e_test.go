@@ -223,15 +223,17 @@ func TestFarmResumeMatchesCellConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := lab.FarmSpec{Nodes: 8, FileMB: 4, Protocols: []string{"bulletprime"},
-		Networks: []string{"modelnet"}, Seeds: []int64{1}, Deadline: 3600}
+	spec := bulletprime.SweepConfig{
+		Base:  bulletprime.RunConfig{Nodes: 8, FileBytes: 4e6, Deadline: 3600, SampleEvery: -1},
+		Seeds: []int64{1},
+	}
+	farm, cells, err := newFarm(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resumed := func() int {
 		t.Helper()
-		farm, err := lab.NewFarm(spec, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := resumeFarm(farm, arch)
+		n, err := resumeFarm(farm, arch, cells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +255,15 @@ func TestFarmResumeMatchesCellConfig(t *testing.T) {
 	if n := resumed(); n != 0 {
 		t.Fatalf("resumed %d cell(s) from an unrelated record, want 0", n)
 	}
-	run(farmCellConfig(spec, spec.Cells()[0]))
+	// The same cell run as a session that records a series is another
+	// record, not this cell's.
+	sampled := cells[0].Config
+	sampled.SampleEvery = 1
+	run(sampled)
+	if n := resumed(); n != 0 {
+		t.Fatalf("resumed %d cell(s) from a record with a series, want 0", n)
+	}
+	run(cells[0].Config)
 	if n := resumed(); n != 1 {
 		t.Fatalf("resumed %d cell(s) after running the cell, want 1", n)
 	}

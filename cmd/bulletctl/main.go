@@ -616,12 +616,14 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runSweep implements the sweep subcommand: a seeds × protocols × networks
-// cross product fanned across a worker pool of sessions. With -progress,
-// each cell is reported on stderr the moment it completes; with -archive,
-// each completed cell is recorded as it finishes.
-func runSweep(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+// sweepFlags registers the flags that spell a sweep spec — shared by
+// sweep and farm coordinate/resume/status, so a farm is exactly the sweep
+// its flags name — and returns the builder to call after parsing. The
+// builder returns the spec and -1, or the exit code of a failure it has
+// already reported: 2 for a usage error, 1 for an unreadable scenario.
+// The spec records no time-series: the CLI prints only aggregates, and
+// every cell, swept here or farmed out, records under the same id.
+func sweepFlags(fs *flag.FlagSet) func(stderr io.Writer) (bulletprime.SweepConfig, int) {
 	var (
 		nodes     = fs.Int("nodes", 100, "overlay size including the source")
 		fileMB    = fs.Float64("filemb", 10, "file size in MB")
@@ -631,15 +633,70 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		networks  = fs.String("networks", "modelnet", "comma-separated network presets (any registered)")
 		dynamic   = fs.Bool("dynamic", false, "enable the synthetic bandwidth-change process")
 		scenFile  = fs.String("scenario", "", "JSON scenario file applied to every cell")
-		parallel  = fs.Int("parallel", 0, "worker-pool size (0 = one per CPU)")
 		deadline  = fs.Float64("deadline", 3600, "virtual-time deadline in seconds")
-		progress  = fs.Bool("progress", false, "report each cell on stderr as it completes")
-		archDir   = fs.String("archive", "", "record every completed cell into this experiment archive")
-		version   = fs.String("version", "", "code version stamped onto archived runs (default: binary VCS revision, or dev)")
 		engine    = fs.String("engine", "sequential", "execution engine for every cell: sequential or sharded")
 		shards    = fs.Int("shards", 0, "shard count for -engine sharded (0 = default)")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf   = fs.String("memprofile", "", "write an allocation profile of the sweep to this file")
+	)
+	return func(stderr io.Writer) (bulletprime.SweepConfig, int) {
+		cfg := bulletprime.SweepConfig{
+			Reps: *reps,
+			Base: bulletprime.RunConfig{
+				Nodes:            *nodes,
+				FileBytes:        *fileMB * 1e6,
+				DynamicBandwidth: *dynamic,
+				Deadline:         *deadline,
+				Shards:           *shards,
+				SampleEvery:      -1,
+			},
+		}
+		if *seeds < 1 {
+			fmt.Fprintf(stderr, "bulletctl %s: -seeds must be at least 1, got %d\n", fs.Name(), *seeds)
+			return cfg, 2
+		}
+		for s := int64(1); s <= int64(*seeds); s++ {
+			cfg.Seeds = append(cfg.Seeds, s)
+		}
+		for _, p := range strings.Split(*protocols, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				cfg.Protocols = append(cfg.Protocols, bulletprime.Protocol(p))
+			}
+		}
+		for _, nw := range strings.Split(*networks, ",") {
+			if nw = strings.TrimSpace(nw); nw != "" {
+				cfg.Networks = append(cfg.Networks, bulletprime.NetworkPreset(nw))
+			}
+		}
+		if len(cfg.Protocols) == 0 || len(cfg.Networks) == 0 {
+			fmt.Fprintf(stderr, "bulletctl %s: -protocols and -networks need at least one name each\n", fs.Name())
+			return cfg, 2
+		}
+		mode, ok := parseEngine(*engine, stderr)
+		if !ok {
+			return cfg, 2
+		}
+		cfg.Base.Engine = mode
+		if cfg.Base.Scenario, ok = loadScenario(*scenFile, stderr); !ok {
+			return cfg, 1
+		}
+		return cfg, -1
+	}
+}
+
+// runSweep implements the sweep subcommand: a seeds × protocols × networks
+// cross product fanned across a worker pool of sessions. With -progress,
+// each cell is reported on stderr the moment it completes; with -archive,
+// each completed cell is recorded as it finishes; SIGINT returns partial
+// results.
+func runSweep(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	buildSpec := sweepFlags(fs)
+	var (
+		parallel = fs.Int("parallel", 0, "worker-pool size (0 = one per CPU)")
+		progress = fs.Bool("progress", false, "report each cell on stderr as it completes")
+		archDir  = fs.String("archive", "", "record every completed cell into this experiment archive")
+		version  = fs.String("version", "", "code version stamped onto archived runs (default: binary VCS revision, or dev)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile of the sweep to this file")
 	)
 	if code := parseFlags(fs, args, stderr); code >= 0 {
 		return code
@@ -648,101 +705,48 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bulletctl sweep: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	mode, ok := parseEngine(*engine, stderr)
-	if !ok {
-		return 2
-	}
-	scen, ok := loadScenario(*scenFile, stderr)
-	if !ok {
-		return 1
+	cfg, code := buildSpec(stderr)
+	if code >= 0 {
+		return code
 	}
 	arch, ok := openArchiveFlag(*archDir, *version, stderr)
 	if !ok {
 		return 1
 	}
-
-	cfg := bulletprime.SweepConfig{
-		Reps: *reps,
-		Base: bulletprime.RunConfig{
-			Nodes:            *nodes,
-			FileBytes:        *fileMB * 1e6,
-			DynamicBandwidth: *dynamic,
-			Scenario:         scen,
-			Deadline:         *deadline,
-			Parallel:         *parallel,
-			Engine:           mode,
-			Shards:           *shards,
-			Archive:          arch,
-		},
-	}
-	for s := int64(1); s <= int64(*seeds); s++ {
-		cfg.Seeds = append(cfg.Seeds, s)
-	}
-	for _, p := range strings.Split(*protocols, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			cfg.Protocols = append(cfg.Protocols, bulletprime.Protocol(p))
-		}
-	}
-	for _, nw := range strings.Split(*networks, ",") {
-		if nw = strings.TrimSpace(nw); nw != "" {
-			cfg.Networks = append(cfg.Networks, bulletprime.NetworkPreset(nw))
-		}
-	}
+	cfg.Base.Parallel = *parallel
+	cfg.Base.Archive = arch
 
 	prof, ok := startProfiles(*cpuProf, *memProf, stderr)
 	if !ok {
 		return 1
 	}
 	start := time.Now()
+	// Cells stream in as they finish; SIGINT stops the sweep and still
+	// reports the cells that completed.
+	ctx, stop := interruptContext()
+	defer stop()
+	ch, err := bulletprime.SweepStream(ctx, cfg, nil)
+	if err != nil {
+		prof.stop(stderr)
+		fmt.Fprintln(stderr, "bulletctl:", err)
+		return 1
+	}
 	var runs []bulletprime.SweepRun
-	total, cancelled := 0, 0
-	archErrs := 0
-	if *progress {
-		// The streaming path: per-cell sessions sampled while they run,
-		// reported the moment they finish, SIGINT returning partial results.
-		ctx, stop := interruptContext()
-		defer stop()
-		// The summary tables only need aggregates; no cell subscribes an
-		// observer, so turn per-cell time-series recording off.
-		cfg.Base.SampleEvery = -1
-		ch, err := bulletprime.SweepStream(ctx, cfg, nil)
-		if err != nil {
-			prof.stop(stderr)
-			fmt.Fprintln(stderr, "bulletctl:", err)
-			return 1
+	cancelled, archErrs := 0, 0
+	for r := range ch {
+		runs = append(runs, r)
+		if r.Err != nil {
+			archErrs++
+			fmt.Fprintln(stderr, "bulletctl:", r.Err)
 		}
-		for r := range ch {
-			runs = append(runs, r)
-			total++
-			if r.Err != nil {
-				archErrs++
-				fmt.Fprintln(stderr, "bulletctl:", r.Err)
-			}
-			if r.Result.Cancelled {
-				cancelled++
-				continue
-			}
+		if r.Result.Cancelled {
+			cancelled++
+		} else if *progress {
 			fmt.Fprintf(stderr, "[%3d done] %-14s %-12s seed %-3d median %8.1fs worst %8.1fs\n",
-				total, r.Protocol, r.Network, r.Seed, r.Result.Median(), r.Result.Worst())
-		}
-		sort.Slice(runs, func(i, j int) bool { return runs[i].Index < runs[j].Index })
-	} else {
-		// Unobserved cells skip the sampling hooks entirely.
-		var err error
-		runs, err = bulletprime.Sweep(cfg)
-		if err != nil {
-			prof.stop(stderr)
-			fmt.Fprintln(stderr, "bulletctl:", err)
-			return 1
-		}
-		total = len(runs)
-		for _, r := range runs {
-			if r.Err != nil {
-				archErrs++
-				fmt.Fprintln(stderr, "bulletctl:", r.Err)
-			}
+				len(runs), r.Protocol, r.Network, r.Seed, r.Result.Median(), r.Result.Worst())
 		}
 	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Index < runs[j].Index })
 
 	if !prof.stop(stderr) {
 		return 1
@@ -773,7 +777,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 	if cancelled > 0 {
 		fmt.Fprintf(stdout, "%d of %d cells cancelled; pooled statistics cover completed cells only\n",
-			cancelled, total)
+			cancelled, len(runs))
 	}
 	fmt.Fprintln(stdout)
 	for _, k := range order {

@@ -123,3 +123,33 @@ func TestRunStreamSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepSpecUsageErrors pins the shared spec flags' usage checks: a
+// sweep of no seeds, protocols or networks is a usage error for every verb
+// that takes a spec, never a silent fallback to one default cell.
+func TestSweepSpecUsageErrors(t *testing.T) {
+	archive := t.TempDir()
+	small := []string{"-nodes", "8", "-filemb", "0.1"}
+	verbs := [][]string{
+		{"sweep"},
+		{"farm", "coordinate", "-archive", archive},
+		{"farm", "resume", "-archive", archive},
+		{"farm", "status", "-archive", archive},
+	}
+	bad := map[string][]string{
+		"no seeds":       {"-seeds", "0"},
+		"negative seeds": {"-seeds", "-3"},
+		"no protocols":   {"-protocols", ""},
+		"no networks":    {"-networks", " , "},
+		"unknown engine": {"-engine", "warp"},
+	}
+	for _, verb := range verbs {
+		for name, flags := range bad {
+			args := append(append(append([]string(nil), verb...), small...), flags...)
+			var out, errb bytes.Buffer
+			if code := dispatch(args, &out, &errb); code != 2 || errb.Len() == 0 {
+				t.Errorf("%v (%s): exit %d (stderr %q), want 2 with a message", args, name, code, errb.String())
+			}
+		}
+	}
+}

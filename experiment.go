@@ -498,7 +498,10 @@ func (rec *recorder) emit(s Sample) {
 
 // SweepConfig describes a parallel experiment sweep: the cross product of
 // Seeds × Protocols × Networks applied to a base configuration. Empty lists
-// default to the base config's single value.
+// default to the base config's single value. It is plain data: it
+// round-trips through encoding/json (a scenario travels with its traces
+// inline; Base.Archive is never encoded), which is how bulletctl's farm
+// hands one sweep to many workers.
 type SweepConfig struct {
 	// Base supplies everything not varied by the lists below; Base.Parallel
 	// sets the worker-pool size (0 = one worker per CPU).
@@ -527,18 +530,14 @@ type SweepCell struct {
 	// the RepSeed-derived seed (Seed stays the listed base seed so cells
 	// of one repetition group can be grouped by it).
 	Rep int
+	// Config is the normalized configuration the cell runs, Seed
+	// RepSeed-derived.
+	Config RunConfig
 }
 
 // SweepRun is one completed cell of a sweep.
 type SweepRun struct {
-	Protocol Protocol
-	Network  NetworkPreset
-	Seed     int64
-	// Rep is the cell's repetition index (always 0 when SweepConfig.Reps
-	// was <= 1).
-	Rep int
-	// Index is the cell's position in the sweep's deterministic order.
-	Index  int
+	SweepCell
 	Result *Result
 	// RunID is the archive id the cell recorded under when
 	// Base.Archive is set (empty otherwise, and for cancelled cells).
@@ -548,9 +547,25 @@ type SweepRun struct {
 	Err error
 }
 
-// expandSweep normalizes the base config and builds the cross product in
-// protocol-major, then network, then seed order.
-func expandSweep(cfg SweepConfig) ([]SweepCell, []RunConfig, error) {
+// maxSweepCells bounds a sweep's cross product. It sits far above any
+// sweep worth running (every cell is a full session run) and keeps a
+// hostile or mistyped spec — say Reps of a billion — from allocating
+// without limit before a single cell runs.
+const maxSweepCells = 1 << 16
+
+// Cells expands the sweep into its cells in protocol-major, then network,
+// then seed, then repetition order, and validates every cell exactly as
+// Sweep does: each cell's config passes New, and the testbed network is
+// refused. A sweep that Sweep would reject fails here with the same error.
+func (cfg SweepConfig) Cells() ([]SweepCell, error) {
+	cells, _, err := cfg.expand(false)
+	return cells, err
+}
+
+// expand is the one place a sweep becomes cells; Cells, Sweep and
+// SweepStream all go through it. With sessions set it also returns every
+// cell's unstarted session, so a sweep validates and builds each cell once.
+func (cfg SweepConfig) expand(sessions bool) ([]SweepCell, []*Experiment, error) {
 	base, err := cfg.Base.normalized()
 	if err != nil {
 		return nil, nil, err
@@ -567,12 +582,14 @@ func expandSweep(cfg SweepConfig) ([]SweepCell, []RunConfig, error) {
 	if len(networks) == 0 {
 		networks = []NetworkPreset{base.Network}
 	}
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
+	reps := max(cfg.Reps, 1)
+	// In floating point, so no product of lengths can overflow.
+	if float64(len(protocols))*float64(len(networks))*float64(len(seeds))*float64(reps) > maxSweepCells {
+		return nil, nil, fmt.Errorf("bulletprime: sweep of %d protocols × %d networks × %d seeds × %d reps exceeds %d cells",
+			len(protocols), len(networks), len(seeds), reps, maxSweepCells)
 	}
 	var cells []SweepCell
-	var cfgs []RunConfig
+	var exps []*Experiment
 	for _, p := range protocols {
 		for _, nw := range networks {
 			for _, seed := range seeds {
@@ -581,13 +598,26 @@ func expandSweep(cfg SweepConfig) ([]SweepCell, []RunConfig, error) {
 					rc.Protocol = p
 					rc.Network = nw
 					rc.Seed = lab.RepSeed(seed, rep)
-					cells = append(cells, SweepCell{Index: len(cells), Protocol: p, Network: nw, Seed: seed, Rep: rep})
-					cfgs = append(cfgs, rc)
+					// Every cell passes New first, so a conflicted config
+					// fails a sweep with the same error as a single run.
+					exp, err := New(rc)
+					if err != nil {
+						return nil, nil, err
+					}
+					if sessions {
+						exps = append(exps, exp)
+					}
+					cells = append(cells, SweepCell{Index: len(cells), Protocol: p, Network: nw, Seed: seed, Rep: rep, Config: exp.cfg})
 				}
 			}
 		}
 	}
-	return cells, cfgs, nil
+	for _, nw := range networks {
+		if nw == NetworkTestbedUDP {
+			return nil, nil, fmt.Errorf("bulletprime: sweeps do not support the testbed network (parallel wall-clock cells contend on real time); run testbed experiments one at a time")
+		}
+	}
+	return cells, exps, nil
 }
 
 // SweepStream runs the sweep as one session per cell over a worker pool
@@ -610,26 +640,14 @@ func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cells, cfgs, err := expandSweep(cfg)
+	cells, exps, err := cfg.expand(true)
 	if err != nil {
 		return nil, err
 	}
-	// Every cell passes New first, so a conflicted config fails a sweep with
-	// the same error as a single run.
-	exps := make([]*Experiment, len(cfgs))
-	for i, rc := range cfgs {
-		exps[i], err = New(rc)
-		if err != nil {
-			return nil, err
-		}
-		exps[i].noSample = noSample
+	for _, e := range exps {
+		e.noSample = noSample
 	}
-	for _, rc := range cfgs {
-		if rc.Network == NetworkTestbedUDP {
-			return nil, fmt.Errorf("bulletprime: sweeps do not support the testbed network (parallel wall-clock cells contend on real time); run testbed experiments one at a time")
-		}
-	}
-	parallel := cfgs[0].Parallel // expandSweep always yields at least one cell
+	parallel := cfg.Base.Parallel
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -681,16 +699,7 @@ func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 					// Delivery blocks: the consumer contract is to drain
 					// until close, and a cancelled run's partial result is
 					// exactly what the consumer cancelled to get.
-					out <- SweepRun{
-						Protocol: cells[i].Protocol,
-						Network:  cells[i].Network,
-						Seed:     cells[i].Seed,
-						Rep:      cells[i].Rep,
-						Index:    i,
-						Result:   res,
-						RunID:    runID,
-						Err:      recErr,
-					}
+					out <- SweepRun{SweepCell: cells[i], Result: res, RunID: runID, Err: recErr}
 				}
 			}()
 		}

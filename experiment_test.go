@@ -2,8 +2,10 @@ package bulletprime_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bulletprime"
@@ -603,5 +605,112 @@ func TestSweepReps(t *testing.T) {
 	// Higher repetitions ran under different derived seeds.
 	if runs[1].Result.Median() == runs[0].Result.Median() && runs[2].Result.Median() == runs[0].Result.Median() {
 		t.Fatal("every repetition produced identical medians; derived seeds not applied")
+	}
+}
+
+// TestSweepConfigCells pins the one sweep expansion: protocol-major, then
+// network, seed and repetition order; each cell's Config is the normalized
+// config it runs, RepSeed-derived; a sweep Sweep rejects fails Cells with
+// the same error; and an absurd cross product is refused before expansion.
+func TestSweepConfigCells(t *testing.T) {
+	cfg := bulletprime.SweepConfig{
+		Base:      bulletprime.RunConfig{Nodes: 10, FileBytes: 1e6},
+		Protocols: []bulletprime.Protocol{bulletprime.ProtocolBulletPrime, bulletprime.ProtocolBitTorrent},
+		Networks:  []bulletprime.NetworkPreset{bulletprime.NetworkModelNet, bulletprime.NetworkHighBDP},
+		Seeds:     []int64{3, 5},
+		Reps:      2,
+	}
+	cells, err := cfg.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2*2*2*2 {
+		t.Fatalf("%d cells, want 16", len(cells))
+	}
+	i := 0
+	for _, p := range cfg.Protocols {
+		for _, nw := range cfg.Networks {
+			for _, seed := range cfg.Seeds {
+				for rep := 0; rep < cfg.Reps; rep++ {
+					c := cells[i]
+					if c.Index != i || c.Protocol != p || c.Network != nw || c.Seed != seed || c.Rep != rep {
+						t.Fatalf("cell %d is %+v", i, c)
+					}
+					want, err := bulletprime.New(bulletprime.RunConfig{Protocol: p, Network: nw, Seed: seed + int64(rep)<<32,
+						Nodes: 10, FileBytes: 1e6})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(c.Config, want.Config()) {
+						t.Fatalf("cell %d config %+v, want %+v", i, c.Config, want.Config())
+					}
+					i++
+				}
+			}
+		}
+	}
+
+	bad := cfg
+	bad.Base.Engine = bulletprime.EngineSharded
+	_, sweepErr := bulletprime.Sweep(bad)
+	if _, err := bad.Cells(); err == nil || sweepErr == nil || err.Error() != sweepErr.Error() {
+		t.Fatalf("Cells error %v, Sweep error %v: want the same rejection", err, sweepErr)
+	}
+	huge := cfg
+	huge.Reps = 1 << 40
+	if _, err := huge.Cells(); err == nil {
+		t.Fatal("accepted a sweep of 2^43 cells")
+	}
+}
+
+// TestSweepConfigJSONRoundTrip pins that a sweep spec survives JSON — the
+// form a farm serves it in — cell for cell and archive key for archive key,
+// with a file-loaded scenario's trace carried inline and the archive
+// handle left behind.
+func TestSweepConfigJSONRoundTrip(t *testing.T) {
+	sc, err := bulletprime.LoadScenario("internal/scenario/testdata/mixed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := bulletprime.OpenArchive(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bulletprime.SweepConfig{
+		Base: bulletprime.RunConfig{Nodes: 12, FileBytes: 1e6, DynamicBandwidth: true, Scenario: sc,
+			Deadline: 900, SampleEvery: -1, Archive: arch},
+		Protocols: []bulletprime.Protocol{bulletprime.ProtocolBulletPrime, bulletprime.ProtocolBitTorrent},
+		Seeds:     []int64{1, 2},
+		Reps:      2,
+	}
+	blob, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back bulletprime.SweepConfig
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Base.Archive != nil {
+		t.Fatal("the archive handle was encoded")
+	}
+	cfg.Base.Archive = nil
+	if !reflect.DeepEqual(back, cfg) {
+		t.Fatalf("round trip changed the spec:\n%+v\n%+v", back, cfg)
+	}
+	cells, err := cfg.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	backCells, err := back.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		c1, s1, err1 := bulletprime.ArchiveKey(cells[i].Config)
+		c2, s2, err2 := bulletprime.ArchiveKey(backCells[i].Config)
+		if err1 != nil || err2 != nil || string(c1) != string(c2) || s1 != s2 || s1 == "" {
+			t.Fatalf("cell %d keys differ: %s/%s vs %s/%s (%v, %v)", i, c1, s1, c2, s2, err1, err2)
+		}
 	}
 }

@@ -1,19 +1,22 @@
 package lab
 
-// The distributed experiment farm: a coordinator expands a sweep spec
-// into cells, serves them to workers over a small HTTP work-claim
-// protocol, and tracks completion; workers execute cells with the
+// The distributed experiment farm: a coordinator leases the cells of one
+// sweep to workers over a small HTTP work-claim protocol and tracks
+// completion; workers expand the same spec, execute cells with the
 // ordinary session runner and record into a shared content-addressed
-// archive. The archive's dedupe is what makes the whole control plane
-// forgiving: a worker that dies after archiving but before reporting, a
-// cell reissued on lease expiry, or a whole farm restarted over the same
+// archive. The claim store is opaque to what a cell is: it holds the
+// spec document it serves and one label per cell, and workers map a
+// claimed index back to a run through their own expansion of the spec.
+// The archive's dedupe is what makes the whole control plane forgiving:
+// a worker that dies after archiving but before reporting, a cell
+// reissued on lease expiry, or a whole farm restarted over the same
 // archive all converge on exactly one record per cell — retries are
 // idempotent because a cell's archive id is a pure function of its
 // configuration. See DESIGN.md §13.
 //
 // Protocol (JSON over HTTP, all state on the coordinator):
 //
-//	GET  /spec      → FarmSpec — the run geometry workers execute
+//	GET  /spec      → the spec document, verbatim — what workers expand
 //	POST /claim     {"worker":W}           → 200 {"cell":C,"lease":L,"ttl_ms":T}
 //	                                       | 204 (nothing claimable now; retry)
 //	                                       | 410 (farm complete; worker exits)
@@ -56,69 +59,11 @@ func RepSeed(seed int64, rep int) int64 {
 	return seed + int64(rep)<<32
 }
 
-// FarmSpec is the sweep a farm executes: the cross product of
-// Protocols × Networks × Seeds × Reps over one run geometry. It is
-// serialized verbatim to workers, so every field must be plain data.
-type FarmSpec struct {
-	Nodes     int      `json:"nodes"`
-	FileMB    float64  `json:"file_mb"`
-	Protocols []string `json:"protocols"`
-	Networks  []string `json:"networks"`
-	Seeds     []int64  `json:"seeds"`
-	// Reps repeats every (protocol, network, seed) cell with derived
-	// seeds (RepSeed); <= 1 means one repetition.
-	Reps     int     `json:"reps,omitempty"`
-	Deadline float64 `json:"deadline,omitempty"`
-}
-
-// Validate rejects specs that cannot expand to at least one cell.
-func (s *FarmSpec) Validate() error {
-	if s.Nodes < 2 {
-		return fmt.Errorf("lab: farm spec needs nodes >= 2 (got %d)", s.Nodes)
-	}
-	if s.FileMB <= 0 {
-		return fmt.Errorf("lab: farm spec needs file_mb > 0 (got %g)", s.FileMB)
-	}
-	if len(s.Protocols) == 0 || len(s.Networks) == 0 || len(s.Seeds) == 0 {
-		return fmt.Errorf("lab: farm spec needs at least one protocol, network, and seed")
-	}
-	return nil
-}
-
-// Cell is one unit of farm work: a fully-specified run. Seed is already
-// repetition-derived; Rep records which repetition it came from.
+// Cell is one unit of farm work: its index in the spec's expansion and a
+// label for logs and failure reports.
 type Cell struct {
-	Index    int    `json:"index"`
-	Protocol string `json:"protocol"`
-	Network  string `json:"network"`
-	Seed     int64  `json:"seed"`
-	Rep      int    `json:"rep"`
-}
-
-// Cells expands the spec in protocol-major, then network, seed, rep
-// order — the same deterministic order the facade's sweeps use.
-func (s *FarmSpec) Cells() []Cell {
-	reps := s.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	var out []Cell
-	for _, p := range s.Protocols {
-		for _, nw := range s.Networks {
-			for _, seed := range s.Seeds {
-				for r := 0; r < reps; r++ {
-					out = append(out, Cell{
-						Index:    len(out),
-						Protocol: p,
-						Network:  nw,
-						Seed:     RepSeed(seed, r),
-						Rep:      r,
-					})
-				}
-			}
-		}
-	}
-	return out
+	Index int    `json:"index"`
+	Label string `json:"label"`
 }
 
 // cellPhase is a cell's lifecycle position in the claim store.
@@ -149,7 +94,7 @@ type cellSlot struct {
 // injectable so lease expiry is unit-testable without sleeping.
 type Farm struct {
 	mu    sync.Mutex
-	spec  FarmSpec
+	spec  []byte
 	cells []Cell
 	slots []cellSlot
 	ttl   time.Duration
@@ -157,16 +102,24 @@ type Farm struct {
 	seq   int
 }
 
-// NewFarm builds a claim store over the spec's cells with the given
-// lease TTL (<= 0 defaults to 30s).
-func NewFarm(spec FarmSpec, ttl time.Duration) (*Farm, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// NewFarm builds a claim store over one cell per label, serving spec at
+// /spec, with the given lease TTL (<= 0 defaults to 30s). A spec larger
+// than a worker will read is refused here, before any worker could fail
+// on it as truncated JSON.
+func NewFarm(spec []byte, labels []string, ttl time.Duration) (*Farm, error) {
+	if len(labels) == 0 {
+		return nil, fmt.Errorf("lab: farm needs at least one cell")
+	}
+	if len(spec) > maxFarmBody {
+		return nil, fmt.Errorf("lab: farm spec is %d bytes; workers read at most %d", len(spec), maxFarmBody)
 	}
 	if ttl <= 0 {
 		ttl = 30 * time.Second
 	}
-	cells := spec.Cells()
+	cells := make([]Cell, len(labels))
+	for i, l := range labels {
+		cells[i] = Cell{Index: i, Label: l}
+	}
 	return &Farm{
 		spec:  spec,
 		cells: cells,
@@ -176,21 +129,21 @@ func NewFarm(spec FarmSpec, ttl time.Duration) (*Farm, error) {
 	}, nil
 }
 
-// Spec returns the farm's sweep spec.
-func (f *Farm) Spec() FarmSpec { return f.spec }
+// Spec returns the spec document the farm serves.
+func (f *Farm) Spec() []byte { return f.spec }
 
 // ResumeFromArchive marks done every cell whose run the archive already
 // holds, and returns how many it marked. key reports the archive key
-// inputs the cell's worker records — its canonical config JSON and
-// scenario digest — or ok=false for a cell no worker could record (one
-// the runner rejects). A record counts as the cell only when its Config
-// and Scenario match those exactly, whatever code version produced it;
+// inputs cell i's worker records — its canonical config JSON, scenario
+// digest and seed — or ok=false for a cell no worker could record. A
+// record counts as the cell only when its Config and Scenario match those
+// exactly, whatever code version produced it;
 // matching protocol, network, seed, and size alone would accept a run of
 // another file size, deadline, dynamics, or engine. This is the whole
 // resume story: re-running a coordinator over the same archive re-serves
 // only the missing cells, and even a stale worker re-executing a done
 // cell merely dedupes.
-func (f *Farm) ResumeFromArchive(a *Archive, key func(Cell) (config []byte, scenario string, ok bool)) (int, error) {
+func (f *Farm) ResumeFromArchive(a *Archive, key func(i int) (config []byte, scenario string, seed int64, ok bool)) (int, error) {
 	metas, err := a.List()
 	if err != nil {
 		return 0, err
@@ -202,9 +155,9 @@ func (f *Farm) ResumeFromArchive(a *Archive, key func(Cell) (config []byte, scen
 		have[Key(m.Config, m.Scenario, m.Seed, "")] = m.ID
 	}
 	want := make([]string, len(f.cells))
-	for i, c := range f.cells {
-		if config, scenario, ok := key(c); ok {
-			want[i] = Key(config, scenario, c.Seed, "")
+	for i := range f.cells {
+		if config, scenario, seed, ok := key(i); ok {
+			want[i] = Key(config, scenario, seed, "")
 		}
 	}
 	f.mu.Lock()
@@ -278,15 +231,17 @@ func (f *Farm) Claim(worker string) (Cell, string, ClaimVerdict) {
 	return f.cells[claimable], lease, ClaimGranted
 }
 
-// findLease resolves a live lease id to its cell index, or -1 when the
-// lease is unknown, expired-and-reissued, or already settled.
-func (f *Farm) findLease(lease string) int {
+// live returns the slot of a live lease, or nil when the lease is
+// unknown, settled, or expired. An expired lease is dead even before its
+// cell is reissued: the cell is claimable by anyone, so the holder has
+// already lost exclusivity. The caller holds f.mu.
+func (f *Farm) live(lease string) *cellSlot {
 	for i := range f.slots {
-		if f.slots[i].phase == cellLeased && f.slots[i].lease == lease {
-			return i
+		if s := &f.slots[i]; s.phase == cellLeased && s.lease == lease && !f.now().After(s.expiry) {
+			return s
 		}
 	}
-	return -1
+	return nil
 }
 
 // Renew extends a live lease by one TTL; false means the lease is gone
@@ -294,17 +249,11 @@ func (f *Farm) findLease(lease string) int {
 func (f *Farm) Renew(lease string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	i := f.findLease(lease)
-	if i < 0 {
-		return false
+	s := f.live(lease)
+	if s != nil {
+		s.expiry = f.now().Add(f.ttl)
 	}
-	// An expired-but-not-yet-reissued lease is not renewable: its cell is
-	// claimable by anyone, so the renewer has already lost exclusivity.
-	if f.now().After(f.slots[i].expiry) {
-		return false
-	}
-	f.slots[i].expiry = f.now().Add(f.ttl)
-	return true
+	return s != nil
 }
 
 // Complete settles a leased cell as done, recording the archive id the
@@ -314,13 +263,11 @@ func (f *Farm) Renew(lease string) bool {
 func (f *Farm) Complete(lease, runID string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	i := f.findLease(lease)
-	if i < 0 || f.now().After(f.slots[i].expiry) {
-		return false
+	s := f.live(lease)
+	if s != nil {
+		s.phase, s.runID = cellDone, runID
 	}
-	f.slots[i].phase = cellDone
-	f.slots[i].runID = runID
-	return true
+	return s != nil
 }
 
 // Fail settles a leased cell as permanently failed — for runs the
@@ -329,13 +276,11 @@ func (f *Farm) Complete(lease, runID string) bool {
 func (f *Farm) Fail(lease, reason string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	i := f.findLease(lease)
-	if i < 0 || f.now().After(f.slots[i].expiry) {
-		return false
+	s := f.live(lease)
+	if s != nil {
+		s.phase, s.failure = cellFailed, reason
 	}
-	f.slots[i].phase = cellFailed
-	f.slots[i].failure = reason
-	return true
+	return s != nil
 }
 
 // FarmStatus is a progress snapshot.
@@ -348,7 +293,7 @@ type FarmStatus struct {
 	Reissues int `json:"reissues"`
 	// Workers maps worker names to completed-cell counts.
 	Workers map[string]int `json:"workers,omitempty"`
-	// Failures lists failed cells as "protocol/network/seed: reason".
+	// Failures lists failed cells as "label: reason".
 	Failures []string `json:"failures,omitempty"`
 }
 
@@ -381,9 +326,7 @@ func (f *Farm) Status() FarmStatus {
 			}
 		case cellFailed:
 			st.Failed++
-			c := f.cells[i]
-			st.Failures = append(st.Failures,
-				fmt.Sprintf("%s/%s/%d: %s", c.Protocol, c.Network, c.Seed, s.failure))
+			st.Failures = append(st.Failures, f.cells[i].Label+": "+s.failure)
 		}
 	}
 	sort.Strings(st.Failures)
@@ -456,7 +399,8 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 func (s *FarmServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/spec":
-		writeJSON(w, s.Farm.Spec())
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(s.Farm.Spec())
 	case "/status":
 		writeJSON(w, s.Farm.Status())
 	case "/claim":
@@ -477,28 +421,21 @@ func (s *FarmServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case ClaimDone:
 			w.WriteHeader(http.StatusGone)
 		}
-	case "/renew":
+	case "/renew", "/complete", "/fail":
 		var req leaseRequest
 		if !readJSON(w, r, &req) {
 			return
 		}
-		if !s.Farm.Renew(req.Lease) {
-			w.WriteHeader(http.StatusGone)
+		var live bool
+		switch r.URL.Path {
+		case "/renew":
+			live = s.Farm.Renew(req.Lease)
+		case "/complete":
+			live = s.Farm.Complete(req.Lease, req.RunID)
+		default:
+			live = s.Farm.Fail(req.Lease, req.Error)
 		}
-	case "/complete":
-		var req leaseRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if !s.Farm.Complete(req.Lease, req.RunID) {
-			w.WriteHeader(http.StatusGone)
-		}
-	case "/fail":
-		var req leaseRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if !s.Farm.Fail(req.Lease, req.Error) {
+		if !live {
 			w.WriteHeader(http.StatusGone)
 		}
 	default:
@@ -541,35 +478,39 @@ func (c *FarmClient) post(path string, req, resp any) (int, error) {
 	return r.StatusCode, nil
 }
 
-// Spec fetches the coordinator's sweep spec.
-func (c *FarmClient) Spec() (FarmSpec, error) {
-	var spec FarmSpec
-	r, err := c.client().Get(c.Base + "/spec")
+// get fetches path's body, at most maxFarmBody bytes; a longer body is an
+// error, never a truncated read.
+func (c *FarmClient) get(path string) ([]byte, error) {
+	r, err := c.client().Get(c.Base + path)
 	if err != nil {
-		return spec, fmt.Errorf("lab: farm client /spec: %w", err)
+		return nil, fmt.Errorf("lab: farm client %s: %w", path, err)
 	}
 	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return spec, fmt.Errorf("lab: farm client /spec: HTTP %d", r.StatusCode)
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxFarmBody+1))
+	switch {
+	case err != nil:
+	case r.StatusCode != http.StatusOK:
+		err = fmt.Errorf("HTTP %d", r.StatusCode)
+	case len(body) > maxFarmBody:
+		err = fmt.Errorf("body exceeds %d bytes", maxFarmBody)
 	}
-	if err := decodeBody(r.Body, &spec); err != nil {
-		return spec, fmt.Errorf("lab: farm client /spec: %w", err)
+	if err != nil {
+		return nil, fmt.Errorf("lab: farm client %s: %w", path, err)
 	}
-	return spec, nil
+	return body, nil
 }
+
+// Spec fetches the coordinator's spec document.
+func (c *FarmClient) Spec() ([]byte, error) { return c.get("/spec") }
 
 // Status fetches a progress snapshot.
 func (c *FarmClient) Status() (FarmStatus, error) {
 	var st FarmStatus
-	r, err := c.client().Get(c.Base + "/status")
+	body, err := c.get("/status")
 	if err != nil {
-		return st, fmt.Errorf("lab: farm client /status: %w", err)
+		return st, err
 	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("lab: farm client /status: HTTP %d", r.StatusCode)
-	}
-	if err := decodeBody(r.Body, &st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		return st, fmt.Errorf("lab: farm client /status: %w", err)
 	}
 	return st, nil
@@ -594,30 +535,24 @@ func (c *FarmClient) Claim() (Cell, string, time.Duration, ClaimVerdict, error) 
 	return Cell{}, "", 0, ClaimWait, fmt.Errorf("lab: farm client /claim: HTTP %d", code)
 }
 
+// settle posts one lease operation; false means the lease is gone.
+func (c *FarmClient) settle(path string, req leaseRequest) (bool, error) {
+	code, err := c.post(path, req, nil)
+	return err == nil && code == http.StatusOK, err
+}
+
 // Renew extends the lease; false means it is gone and the worker must
 // abandon the cell.
 func (c *FarmClient) Renew(lease string) (bool, error) {
-	code, err := c.post("/renew", leaseRequest{Lease: lease}, nil)
-	if err != nil {
-		return false, err
-	}
-	return code == http.StatusOK, nil
+	return c.settle("/renew", leaseRequest{Lease: lease})
 }
 
 // Complete settles the lease with the archived run id.
 func (c *FarmClient) Complete(lease, runID string) (bool, error) {
-	code, err := c.post("/complete", leaseRequest{Lease: lease, RunID: runID}, nil)
-	if err != nil {
-		return false, err
-	}
-	return code == http.StatusOK, nil
+	return c.settle("/complete", leaseRequest{Lease: lease, RunID: runID})
 }
 
 // Fail settles the lease as permanently failed.
 func (c *FarmClient) Fail(lease, reason string) (bool, error) {
-	code, err := c.post("/fail", leaseRequest{Lease: lease, Error: reason}, nil)
-	if err != nil {
-		return false, err
-	}
-	return code == http.StatusOK, nil
+	return c.settle("/fail", leaseRequest{Lease: lease, Error: reason})
 }

@@ -10,44 +10,40 @@ import (
 	"time"
 )
 
-func testSpec() FarmSpec {
-	return FarmSpec{
-		Nodes:     8,
-		FileMB:    1,
-		Protocols: []string{"bulletprime", "bittorrent"},
-		Networks:  []string{"modelnet"},
-		Seeds:     []int64{1, 2},
-		Reps:      2,
+// testLabels is an eight-cell farm: two protocols × two seeds × two reps.
+func testLabels() []string {
+	var labels []string
+	for _, p := range []string{"bulletprime", "bittorrent"} {
+		for seed := 1; seed <= 2; seed++ {
+			for rep := 0; rep < 2; rep++ {
+				labels = append(labels, fmt.Sprintf("%s/modelnet/%d rep %d", p, seed, rep))
+			}
+		}
 	}
+	return labels
 }
 
-func TestFarmSpecCells(t *testing.T) {
-	spec := testSpec()
-	cells := spec.Cells()
-	if len(cells) != 2*1*2*2 {
-		t.Fatalf("%d cells, want 8", len(cells))
-	}
-	// Deterministic protocol-major order, rep-derived seeds.
-	if cells[0] != (Cell{Index: 0, Protocol: "bulletprime", Network: "modelnet", Seed: 1, Rep: 0}) {
-		t.Fatalf("cell 0: %+v", cells[0])
-	}
-	if cells[1].Rep != 1 || cells[1].Seed != RepSeed(1, 1) {
-		t.Fatalf("cell 1 not the rep-derived twin: %+v", cells[1])
-	}
-	seen := map[int64]bool{}
-	for _, c := range cells {
-		key := c.Seed
-		if c.Protocol == "bittorrent" {
-			key = -key
-		}
-		if seen[key] {
-			t.Fatalf("duplicate derived seed %d in %+v", c.Seed, c)
-		}
-		seen[key] = true
-	}
+// testSpec stands in for a sweep spec: the farm serves it verbatim and
+// never looks inside.
+var testSpec = []byte(`{"Base":{"Nodes":8}}`)
 
-	if (&FarmSpec{}).Validate() == nil {
-		t.Fatal("empty spec must not validate")
+func TestNewFarmValidates(t *testing.T) {
+	if _, err := NewFarm(testSpec, nil, 0); err == nil {
+		t.Error("a farm without cells must be refused")
+	}
+	// A spec no worker would read in full is refused up front.
+	big := make([]byte, maxFarmBody+1)
+	if _, err := NewFarm(big, testLabels(), 0); err == nil || !strings.Contains(err.Error(), "workers read at most") {
+		t.Errorf("oversized spec: err %v", err)
+	}
+	f, err := NewFarm(testSpec, testLabels(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range f.cells {
+		if c.Index != i || c.Label != testLabels()[i] {
+			t.Fatalf("cell %d is %+v", i, c)
+		}
 	}
 }
 
@@ -61,9 +57,9 @@ func TestRepSeed(t *testing.T) {
 }
 
 // farmAt builds a farm with a hand-controlled clock.
-func farmAt(t *testing.T, spec FarmSpec, ttl time.Duration) (*Farm, *time.Time) {
+func farmAt(t *testing.T, labels []string, ttl time.Duration) (*Farm, *time.Time) {
 	t.Helper()
-	f, err := NewFarm(spec, ttl)
+	f, err := NewFarm(testSpec, labels, ttl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +69,7 @@ func farmAt(t *testing.T, spec FarmSpec, ttl time.Duration) (*Farm, *time.Time) 
 }
 
 func TestFarmClaimCompleteLifecycle(t *testing.T) {
-	f, _ := farmAt(t, testSpec(), time.Minute)
+	f, _ := farmAt(t, testLabels(), time.Minute)
 	total := len(f.cells)
 	leases := map[string]string{} // lease -> worker
 	cells := map[string]Cell{}
@@ -109,7 +105,7 @@ func TestFarmClaimCompleteLifecycle(t *testing.T) {
 }
 
 func TestFarmLeaseExpiryReissues(t *testing.T) {
-	f, now := farmAt(t, testSpec(), time.Minute)
+	f, now := farmAt(t, testLabels(), time.Minute)
 	c1, lease1, verdict := f.Claim("w1")
 	if verdict != ClaimGranted {
 		t.Fatal("first claim refused")
@@ -143,11 +139,7 @@ func TestFarmLeaseExpiryReissues(t *testing.T) {
 }
 
 func TestFarmFailIsTerminal(t *testing.T) {
-	spec := testSpec()
-	spec.Protocols = []string{"bulletprime"}
-	spec.Seeds = []int64{1}
-	spec.Reps = 1
-	f, _ := farmAt(t, spec, time.Minute)
+	f, _ := farmAt(t, []string{"bulletprime/modelnet/1 rep 0"}, time.Minute)
 	_, lease, _ := f.Claim("w1")
 	if !f.Fail(lease, "no such protocol") {
 		t.Fatal("fail refused")
@@ -156,28 +148,29 @@ func TestFarmFailIsTerminal(t *testing.T) {
 		t.Fatal("failed-out farm must answer done, not reissue the poison cell")
 	}
 	st := f.Status()
-	if !st.Complete() || st.Failed != 1 || len(st.Failures) != 1 {
+	if !st.Complete() || st.Failed != 1 || len(st.Failures) != 1 ||
+		st.Failures[0] != "bulletprime/modelnet/1 rep 0: no such protocol" {
 		t.Fatalf("status %+v", st)
 	}
 }
 
 func TestFarmResumeFromArchive(t *testing.T) {
-	spec := testSpec()
-	spec.Reps = 1
 	arch, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The key a cell's worker records under, in compact JSON.
-	key := func(c Cell) ([]byte, string, bool) {
-		return []byte(fmt.Sprintf(`{"protocol":%q,"network":%q,"nodes":%d}`,
-			c.Protocol, c.Network, spec.Nodes)), "", true
+	// Four cells, bulletprime then bittorrent over seeds 1 and 2; the key
+	// a cell's worker records under, in compact JSON.
+	labels := []string{"bp/1", "bp/2", "bt/1", "bt/2"}
+	key := func(i int) ([]byte, string, int64, bool) {
+		proto := []string{"bulletprime", "bittorrent"}[i/2]
+		return []byte(fmt.Sprintf(`{"protocol":%q,"network":"modelnet","nodes":8}`, proto)), "", int64(i%2 + 1), true
 	}
 	// Archive one of the four cells (bulletprime/modelnet/seed 1), with
 	// indented config JSON and another code version: neither matters.
 	run := mkRun("bulletprime", "modelnet", "", 1, 10, 20, 30)
 	run.Meta.Config = []byte(`{"protocol": "bulletprime", "network": "modelnet", "nodes": 8}`)
-	run.Meta.Nodes = spec.Nodes
+	run.Meta.Nodes = 8
 	run.Meta.Version = "v2"
 	if _, _, err := arch.Put(run); err != nil {
 		t.Fatal(err)
@@ -186,12 +179,12 @@ func TestFarmResumeFromArchive(t *testing.T) {
 	// not its config (another file size) must not satisfy the cell.
 	other := mkRun("bittorrent", "modelnet", "", 1, 10, 20, 30)
 	other.Meta.Config = []byte(`{"protocol":"bittorrent","network":"modelnet","nodes":8,"file_bytes":4e6}`)
-	other.Meta.Nodes = spec.Nodes
+	other.Meta.Nodes = 8
 	if _, _, err := arch.Put(other); err != nil {
 		t.Fatal(err)
 	}
 
-	f, _ := farmAt(t, spec, time.Minute)
+	f, _ := farmAt(t, labels, time.Minute)
 	n, err := f.ResumeFromArchive(arch, key)
 	if err != nil {
 		t.Fatal(err)
@@ -203,17 +196,20 @@ func TestFarmResumeFromArchive(t *testing.T) {
 	if st.Done != 1 || st.Pending != len(f.cells)-1 {
 		t.Fatalf("status after resume %+v", st)
 	}
+	if c, _, _ := f.Claim("w1"); c.Index != 1 {
+		t.Fatalf("first claim after resume is cell %d, want 1", c.Index)
+	}
 }
 
 func TestFarmHTTPRoundTrip(t *testing.T) {
-	f, _ := farmAt(t, testSpec(), time.Minute)
+	f, _ := farmAt(t, testLabels(), time.Minute)
 	srv := httptest.NewServer(&FarmServer{Farm: f})
 	defer srv.Close()
 	cl := &FarmClient{Base: srv.URL, Worker: "w1"}
 
 	spec, err := cl.Spec()
-	if err != nil || spec.Nodes != 8 {
-		t.Fatalf("spec %+v, %v", spec, err)
+	if err != nil || string(spec) != string(testSpec) {
+		t.Fatalf("spec %q, %v", spec, err)
 	}
 	total := len(f.cells)
 	for i := 0; i < total; i++ {
